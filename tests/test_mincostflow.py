@@ -1,0 +1,163 @@
+import json
+
+import numpy as np
+import pytest
+
+from tranship import mincostflow
+from tranship.beckmann import complete_network, grid_network, solve_beckmann
+from tranship.cli import run
+from tranship.errors import InfeasibleFlowError, ValidationError, VerificationError
+from tranship.geom import Domain
+from tranship.matchnorm import dual_potential, minimal_connection
+from tranship.measures import SignedAtomMeasure
+from tranship.mincostflow import solve_min_cost_flow
+from tranship.testing import random_balanced_measure
+
+
+def assert_certified(n_nodes, arcs, costs, supply, sol, tol=1e-9):
+    """Feasible potentials, tight on every flow-carrying arc, and node balance:
+    together they prove the flow optimal."""
+    arcs = np.asarray(arcs)
+    tail, head = arcs[:, 0], arcs[:, 1]
+    u = sol.potentials
+    drop = u[tail] - u[head]
+    assert np.all(sol.arc_flows >= 0.0)
+    assert np.all(drop <= costs + tol)
+    carrying = sol.arc_flows > 0.0
+    assert np.all(np.abs(drop[carrying] - costs[carrying]) <= tol)
+    out = np.bincount(tail, weights=sol.arc_flows, minlength=n_nodes)
+    into = np.bincount(head, weights=sol.arc_flows, minlength=n_nodes)
+    assert np.max(np.abs(out - into - supply)) <= tol * max(1.0, np.sum(np.abs(supply)))
+    assert abs(sol.cost - float(np.dot(sol.arc_flows, costs))) <= tol * max(1.0, sol.cost)
+
+
+def both_directions(net):
+    """The arcs and costs `solve_beckmann` hands to the solver."""
+    arcs = np.vstack([net.edges, net.edges[:, ::-1]])
+    return arcs, np.concatenate([net.lengths, net.lengths])
+
+
+def bipartite(f):
+    """The arcs and costs `minimal_connection` hands to the solver."""
+    pos_pts, pos_mass = f.positive_part()
+    neg_pts, neg_mass = f.negative_part()
+    n_pos, n_neg = len(pos_pts), len(neg_pts)
+    i, j = np.divmod(np.arange(n_pos * n_neg), n_neg)
+    arcs = np.stack([i, n_pos + j], axis=1)
+    costs = np.sqrt(np.sum((pos_pts[i] - neg_pts[j]) ** 2, axis=1))
+    return n_pos + n_neg, arcs, costs, np.concatenate([pos_mass, -neg_mass])
+
+
+class TestArcs:
+    def test_duplicate_arcs_use_the_cheapest(self):
+        arcs = np.array([[0, 1], [0, 1], [0, 1], [1, 0]])
+        costs = np.array([3.0, 1.0, 2.0, 0.5])
+        sol = solve_min_cost_flow(2, arcs, costs, np.array([1.0, -1.0]))
+        assert sol.arc_flows.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert sol.cost == 1.0
+        assert sol.potentials[0] - sol.potentials[1] == 1.0
+
+    def test_canceling_arcs_next_to_duplicate_forward_arcs(self):
+        # collinear sources at x = 0 and 1.5 and sinks at x = 1 and 3; the
+        # optimum (cost 3) needs a canceling arc, which shares its ordered
+        # pair with a forward arc of the complete graph and with a dearer copy
+        x = np.array([0.0, 1.5, 1.0, 3.0])
+        supply = np.array([1.0, 2.0, -2.0, -1.0])
+        i, j = np.nonzero(~np.eye(4, dtype=bool))
+        arcs = np.vstack([np.stack([i, j], axis=1)] * 2)
+        costs = np.concatenate([np.abs(x[i] - x[j]), np.abs(x[i] - x[j]) + 1.0])
+        sol = solve_min_cost_flow(4, arcs, costs, supply)
+        assert abs(sol.cost - 3.0) <= 1e-12
+        assert np.all(sol.arc_flows[i.size:] == 0.0)
+        assert_certified(4, arcs, costs, supply, sol)
+
+    def test_zero_cost_arcs_are_edges(self):
+        arcs = np.array([[0, 1], [1, 2], [0, 2]])
+        costs = np.array([0.0, 0.0, 1.0])
+        sol = solve_min_cost_flow(3, arcs, costs, np.array([1.0, 0.0, -1.0]))
+        assert sol.cost == 0.0
+        assert sol.arc_flows.tolist() == [1.0, 1.0, 0.0]
+        assert np.all(sol.potentials == sol.potentials[0])
+
+    def test_node_indices_beyond_int32_products(self):
+        # tail * n_nodes exceeds the int32 range of csgraph's predecessors
+        n = 50_000
+        supply = np.zeros(n)
+        supply[[n - 1, 0]] = [1.0, -1.0]
+        sol = solve_min_cost_flow(n, np.array([[n - 1, 0]]), np.array([2.0]), supply)
+        assert sol.arc_flows.tolist() == [1.0]
+        assert sol.cost == 2.0
+
+
+class TestFailures:
+    def test_disconnected_supply_is_infeasible(self):
+        arcs = np.array([[0, 1], [2, 3]])
+        with pytest.raises(InfeasibleFlowError):
+            solve_min_cost_flow(4, arcs, np.ones(2), np.array([1.0, 0.0, 0.0, -1.0]))
+
+    def test_arc_endpoints_must_be_nodes(self):
+        for bad in ([[0, 2]], [[-1, 1]]):
+            with pytest.raises(ValidationError, match="node indices"):
+                solve_min_cost_flow(2, np.array(bad), np.ones(1), np.array([1.0, -1.0]))
+
+    def test_arc_direction_matters(self):
+        with pytest.raises(InfeasibleFlowError):
+            solve_min_cost_flow(2, np.array([[1, 0]]), np.ones(1), np.array([1.0, -1.0]))
+
+    def test_augmentation_limit_is_a_verification_failure(self, monkeypatch):
+        monkeypatch.setattr(mincostflow, "_MAX_AUGMENTATIONS_FACTOR", 0)
+        with pytest.raises(VerificationError, match="augmentation limit"):
+            solve_min_cost_flow(2, np.array([[0, 1]]), np.ones(1), np.array([1.0, -1.0]))
+
+    def test_augmentation_limit_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mincostflow, "_MAX_AUGMENTATIONS_FACTOR", 0)
+        doc = {
+            "version": 1,
+            "atoms": [
+                {"point": [0.0, 0.0], "mass": 1.0},
+                {"point": [1.0, 0.0], "mass": -0.4},
+                {"point": [0.0, 1.0], "mass": -0.6},
+            ],
+        }
+        path = tmp_path / "distinct.json"
+        path.write_text(json.dumps(doc))
+        assert run(["connect", str(path)]) == 4
+        assert "augmentation limit" in capsys.readouterr().err
+
+
+class TestCertificates:
+    def test_bipartite(self, rng):
+        for _ in range(10):
+            n, arcs, costs, supply = bipartite(random_balanced_measure(rng, max_pairs=20))
+            assert_certified(n, arcs, costs, supply, solve_min_cost_flow(n, arcs, costs, supply))
+
+    def test_complete(self, rng):
+        for _ in range(10):
+            net = complete_network(random_balanced_measure(rng, max_pairs=12))
+            arcs, costs = both_directions(net)
+            sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
+            assert_certified(net.n_nodes, arcs, costs, net.supply, sol)
+
+    @pytest.mark.parametrize("diagonals", [False, True])
+    def test_grid(self, rng, diagonals):
+        domain = Domain([0.0, 0.0], [1.0, 1.0])
+        for _ in range(5):
+            f = random_balanced_measure(rng, max_pairs=10)
+            net = grid_network(domain, (16, 16), f, diagonals=diagonals)
+            arcs, costs = both_directions(net)
+            sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
+            assert_certified(net.n_nodes, arcs, costs, net.supply, sol)
+
+
+def test_three_routes_agree_at_210_atoms():
+    rng = np.random.default_rng(20261017)
+    pos = rng.uniform(0.05, 1.0, size=110)
+    neg = rng.uniform(0.05, 1.0, size=100)
+    neg *= pos.sum() / neg.sum()
+    f = SignedAtomMeasure(rng.uniform(0.0, 1.0, size=(210, 2)), np.concatenate([pos, -neg]))
+    assert len(f) == 210
+    cost = minimal_connection(f).cost
+    _, dual_value = dual_potential(f)
+    flow = solve_beckmann(complete_network(f))
+    assert abs(dual_value - cost) <= 1e-7 * cost
+    assert abs(flow.cost - cost) <= 1e-7 * cost
