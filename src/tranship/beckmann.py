@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import ValidationError
-from .geom import Domain, Grid, dist
+from .geom import Domain, Grid, dists
 from .measures import SignedAtomMeasure, StructuredVectorMeasure
 from .mincostflow import solve_min_cost_flow
 
@@ -86,17 +86,11 @@ class Flow:
 
 def complete_network(f: SignedAtomMeasure) -> FlowNetwork:
     """Complete Euclidean graph over the support of `f`."""
-    n = len(f)
-    edges = []
-    lengths = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j))
-            lengths.append(dist(f.points[i], f.points[j]))
+    i, j = np.triu_indices(len(f), 1)
     return FlowNetwork(
         points=f.points,
-        edges=np.array(edges, dtype=int).reshape(-1, 2),
-        lengths=np.array(lengths),
+        edges=np.column_stack([i, j]),
+        lengths=dists(f.points[i], f.points[j]),
         supply=f.masses,
     )
 
@@ -139,22 +133,18 @@ def grid_network(
         if not domain.contains(p):
             raise ValidationError(f"atom at {p.tolist()} lies outside the grid domain")
         supply[grid.flat_index(grid.cell_index(p))] += m
-    edges = []
-    lengths = []
+    # every cell (C order) against every offset (in _neighbor_offsets order)
     shape = np.asarray(resolution)
-    for multi in itertools.product(*(range(r) for r in resolution)):
-        i = grid.flat_index(multi)
-        for off in _neighbor_offsets(domain.dim, diagonals):
-            nb = np.asarray(multi) + np.asarray(off)
-            if np.any(nb < 0) or np.any(nb >= shape):
-                continue
-            j = grid.flat_index(tuple(nb))
-            edges.append((i, j))
-            lengths.append(dist(centers[i], centers[j]))
+    cells = np.indices(resolution).reshape(domain.dim, -1).T
+    offsets = np.array(_neighbor_offsets(domain.dim, diagonals))
+    nbs = cells[:, None, :] + offsets[None, :, :]
+    inside = np.all((nbs >= 0) & (nbs < shape), axis=2)
+    i = np.broadcast_to(np.arange(grid.n_cells)[:, None], inside.shape)[inside]
+    j = np.ravel_multi_index(tuple(nbs[inside].T), resolution)
     return FlowNetwork(
         points=centers,
-        edges=np.array(edges, dtype=int).reshape(-1, 2),
-        lengths=np.array(lengths),
+        edges=np.column_stack([i, j]),
+        lengths=dists(centers[i], centers[j]),
         supply=supply,
     )
 

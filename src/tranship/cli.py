@@ -23,7 +23,7 @@ from . import sharpspace as sharp
 from .document import ProblemDocument, load_document
 from .errors import InfeasibleFlowError, TranshipError, ValidationError, VerificationError
 from .genplan import plan_from_matching, to_vector_measure, verify_projection
-from .geom import Grid, dist
+from .geom import Grid, dists
 from .measures import Distribution, NotAMeasure, divergence_as_measure, pair
 
 EXIT_OK = 0
@@ -128,11 +128,15 @@ def _cmd_connect(doc: ProblemDocument, args, report: dict) -> int:
 
 def _max_slackness(matching, potential) -> float:
     worst = 0.0
-    for source, target, _mass in matching.edges:
+    if not matching.edges:
+        return worst
+    sources, targets, _masses = zip(*matching.edges)
+    lengths = dists(np.array(sources), np.array(targets))
+    for source, target, length in zip(sources, targets, lengths):
         u_s = potential.values[tuple(source)]
         u_t = potential.values[tuple(target)]
-        worst = max(worst, abs(u_s - u_t - dist(source, target)))
-    return worst
+        worst = max(worst, abs(u_s - u_t - length))
+    return float(worst)
 
 
 def _cmd_dual(doc: ProblemDocument, args, report: dict) -> int:
@@ -208,16 +212,15 @@ def _cmd_density(doc: ProblemDocument, args, report: dict) -> int:
         raise ValidationError("density requires --grid RxC[xD]")
     resolution = _parse_grid_spec(args.grid, doc.domain.dim)
     grid = Grid(doc.domain, resolution)
-    workers = args.parallel if args.parallel else 1
     if doc.plan is not None:
         nu = to_vector_measure(doc.plan)
-        result = dens.rasterize_vector_measure(nu, grid, workers=workers)
+        result = dens.rasterize_vector_measure(nu, grid)
     elif not doc.vector_measure.is_empty:
-        result = dens.rasterize_vector_measure(doc.vector_measure, grid, workers=workers)
+        result = dens.rasterize_vector_measure(doc.vector_measure, grid)
     else:
         f = doc.atom_distribution(report["warnings"]).measure_part
         matching = mn.minimal_connection(f)
-        result = dens.rasterize_plan(matching, grid, workers=workers)
+        result = dens.rasterize_plan(matching, grid)
     _emit_bytes(dens.export(result, args.format), args.out)
     return EXIT_OK
 
@@ -271,7 +274,10 @@ def _cmd_modulus(doc: ProblemDocument, args, report: dict) -> int:
         raise ValidationError("modulus requires a 'dipoles' section")
     eps_list = doc.options.get("eps")
     if args.eps:
-        eps_list = [float(tok) for tok in args.eps.split(",")]
+        try:
+            eps_list = [float(tok) for tok in args.eps.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"--eps: expected comma-separated numbers, got {args.eps!r}") from exc
     if not eps_list:
         raise ValidationError("modulus requires eps values (--eps or options.eps)")
     curve = sharp.modulus(doc.dipoles, eps_list, seed=args.seed)
@@ -432,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-abs", type=float, default=1e-9, dest="tol_abs")
     parser.add_argument("--tol-rel", type=float, default=1e-7, dest="tol_rel")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--parallel", type=int, nargs="?", const=4, default=0)
     parser.add_argument("--filter", default=None, help="selftest: run one suite")
     parser.add_argument("--eps", default=None, help="modulus: comma-separated eps values")
     parser.add_argument(

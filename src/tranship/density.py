@@ -52,46 +52,33 @@ def _deposit_segment(acc: np.ndarray, grid: Grid, a, b, mass: float):
     np.add.at(acc, flat, mass * frac)
 
 
-def rasterize_plan(matching: Matching, grid: Grid, workers: int = 1) -> GridDensity:
+def rasterize_plan(matching: Matching, grid: Grid) -> GridDensity:
     """Deposit mass * (length of segment inside each cell) for every edge.
 
-    The total equals the matching cost to roundoff.  With workers > 1 the
-    edges are processed in fixed index chunks and partial grids merged in
-    chunk order, so the result is independent of worker count.
+    The total equals the matching cost to roundoff.
     """
-    chunks = _chunk_indices(len(matching.edges), workers)
-    partials = []
-    for chunk in chunks:
-        acc = np.zeros(grid.n_cells)
-        for k in chunk:
-            source, target, mass = matching.edges[k]
-            _deposit_segment(acc, grid, source, target, mass * dist(source, target))
-        partials.append(acc)
-    return _merge_partials(grid, partials)
+    acc = np.zeros(grid.n_cells)
+    for source, target, mass in matching.edges:
+        _deposit_segment(acc, grid, source, target, mass * dist(source, target))
+    return GridDensity(grid=grid, masses=acc)
 
 
-def rasterize_vector_measure(
-    nu: StructuredVectorMeasure, grid: Grid, workers: int = 1
-) -> GridDensity:
+def rasterize_vector_measure(nu: StructuredVectorMeasure, grid: Grid) -> GridDensity:
     """Rasterize the total variation of a structured vector measure.
 
     Segments deposit |density| * length by clipping, atoms deposit |vector|
     into their containing cell, and cell fields are resampled onto the target
     grid by overlap volume (they must not be finer than the target grid).
+    Atoms and cells accumulate in a separate tail that is added to the
+    segment sums at the end, which fixes how the cell totals are rounded.
     """
     if nu.cells is not None:
         src = nu.cells.grid
         if np.any(src.cell_size < grid.cell_size - 1e-12 * grid.cell_size):
             raise ValidationError("cell field is finer than the target grid")
-    chunks = _chunk_indices(nu.n_segments, workers)
-    partials = []
-    for chunk in chunks:
-        acc = np.zeros(grid.n_cells)
-        for k in chunk:
-            a = nu.seg_a[k]
-            b = nu.seg_b[k]
-            _deposit_segment(acc, grid, a, b, vec_norm(nu.seg_density[k]) * nu.segment_lengths[k])
-        partials.append(acc)
+    acc = np.zeros(grid.n_cells)
+    for a, b, density, length in zip(nu.seg_a, nu.seg_b, nu.seg_density, nu.segment_lengths):
+        _deposit_segment(acc, grid, a, b, vec_norm(density) * length)
     tail = np.zeros(grid.n_cells)
     for point, vector in zip(nu.atom_points, nu.atom_vectors):
         if not grid.domain.contains(point):
@@ -99,8 +86,7 @@ def rasterize_vector_measure(
         tail[grid.flat_index(grid.cell_index(point))] += vec_norm(vector)
     if nu.cells is not None:
         _resample_cells(tail, nu, grid)
-    partials.append(tail)
-    return _merge_partials(grid, partials)
+    return GridDensity(grid=grid, masses=acc + tail)
 
 
 def _resample_cells(acc: np.ndarray, nu: StructuredVectorMeasure, grid: Grid):
@@ -136,21 +122,6 @@ def _resample_cells(acc: np.ndarray, nu: StructuredVectorMeasure, grid: Grid):
         mesh = np.meshgrid(*axis_indices, indexing="ij")
         flat_targets = np.ravel_multi_index([m.ravel() for m in mesh], grid.shape)
         np.add.at(acc, flat_targets, norm * vol.ravel())
-
-
-def _chunk_indices(n: int, workers: int):
-    workers = max(1, int(workers))
-    if workers == 1 or n == 0:
-        return [range(n)]
-    size = (n + workers - 1) // workers
-    return [range(k, min(k + size, n)) for k in range(0, n, size)]
-
-
-def _merge_partials(grid: Grid, partials):
-    total = np.zeros(grid.n_cells)
-    for acc in partials:  # fixed-order merge keeps float results reproducible
-        total += acc
-    return GridDensity(grid=grid, masses=total)
 
 
 def export(density: GridDensity, fmt: str) -> bytes:

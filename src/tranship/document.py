@@ -63,6 +63,14 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
+def _as_int(value, where: str) -> int:
+    """An integer, or a float with an integral value; booleans are rejected."""
+    number = _as_float(value, where)
+    if not number.is_integer():
+        raise ValidationError(f"{where}: expected an integer, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class ProblemDocument:
     version: int
@@ -80,7 +88,7 @@ class ProblemDocument:
         measure = self.atoms
         if self.dipoles is not None:
             eps = self.options.get("truncation_eps", 0.0)
-            truncated, bound = from_dipoles(self.dipoles, truncation_eps=float(eps))
+            truncated, bound = from_dipoles(self.dipoles, truncation_eps=eps)
             measure = measure + truncated.measure_part
             if warnings_out is not None and bound > 0.0:
                 warnings_out.append(
@@ -111,16 +119,24 @@ def _parse_test_function(obj: dict, dim: int, idx: int):
     kind = obj["kind"]
     if kind == "coordinate":
         _require_keys(obj, {"kind", "axis"}, where)
-        axis = int(obj.get("axis", 0))
+        axis = _as_int(obj.get("axis", 0), f"{where}.axis")
         if not 0 <= axis < dim:
             raise ValidationError(f"{where}: axis {axis} out of range for dim {dim}")
         return Coordinate(axis=axis, dim=dim)
     if kind == "polynomial":
         _require_keys(obj, {"kind", "coeffs"}, where)
+        block = obj.get("coeffs", {})
+        if not isinstance(block, dict):
+            raise ValidationError(f"{where}.coeffs: expected an object")
         coeffs = {}
-        for key, c in obj.get("coeffs", {}).items():
-            exps = tuple(int(e) for e in key.split(","))
-            coeffs[exps] = float(c)
+        for key, c in block.items():
+            try:
+                exps = tuple(int(e) for e in key.split(","))
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{where}.coeffs: bad exponent key {key!r}, expected e.g. \"1,0\""
+                ) from exc
+            coeffs[exps] = _as_float(c, f"{where}.coeffs[{key!r}]")
         return Polynomial(coeffs=coeffs, dim=dim)
     if kind == "radial_bump":
         _require_keys(obj, {"kind", "center", "radius", "amplitude"}, where)
@@ -210,6 +226,13 @@ def parse_document(data: dict) -> ProblemDocument:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError("options must be an object")
+    options = dict(options)
+    if "truncation_eps" in options:
+        options["truncation_eps"] = _as_float(options["truncation_eps"], "options.truncation_eps")
+    if "eps" in options:
+        if not isinstance(options["eps"], list):
+            raise ValidationError(f"options.eps: expected a list of numbers, got {options['eps']!r}")
+        options["eps"] = [_as_float(v, f"options.eps[{k}]") for k, v in enumerate(options["eps"])]
 
     # the instance dimension: from any geometry present
     dims = set()
@@ -269,7 +292,10 @@ def parse_document(data: dict) -> ProblemDocument:
             )
         else:
             cell_domain = domain
-        grid = Grid(cell_domain, tuple(int(r) for r in _get(block, "resolution", "cells")))
+        resolution = _get(block, "resolution", "cells")
+        if not isinstance(resolution, list):
+            raise ValidationError("cells.resolution: expected a list of integers")
+        grid = Grid(cell_domain, tuple(_as_int(r, "cells.resolution") for r in resolution))
         try:
             vectors = np.asarray(_get(block, "vectors", "cells"), dtype=float)
         except (TypeError, ValueError) as exc:
@@ -303,7 +329,7 @@ def parse_document(data: dict) -> ProblemDocument:
         vector_measure=vector_measure,
         plan=plan,
         test_functions=test_functions,
-        options=dict(options),
+        options=options,
     )
 
 
@@ -311,7 +337,11 @@ def load_document(path: str) -> ProblemDocument:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        data = json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"document is not UTF-8 text: {exc}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

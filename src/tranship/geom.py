@@ -1,8 +1,10 @@
 """Points, boxes, regular grids and quadrature helpers.
 
-Every distance in the package goes through :func:`dist` so that values
-compared for exact equality elsewhere (oracle tests, conservation checks)
-are computed from bit-identical inputs.
+Every distance in the package comes from :func:`dists`, the single source of
+truth: :func:`dist` is its scalar case, and all-pairs or row-wise distances
+are the same kernel broadcast over leading axes.  Values compared for exact
+equality elsewhere (oracle tests, conservation checks) are therefore
+computed bit for bit the same way, whichever shape asked for them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import ValidationError
 __all__ = [
     "as_point",
     "dist",
+    "dists",
     "vec_norm",
     "Domain",
     "Grid",
@@ -42,10 +45,21 @@ def vec_norm(v) -> float:
     return float(np.sqrt(np.dot(v, v)))
 
 
-def dist(a, b) -> float:
-    """Euclidean distance, the single source of truth for edge lengths."""
+def dists(a, b) -> np.ndarray:
+    """Euclidean distances along the last axis, broadcasting the leading axes.
+
+    ``dists(A[:, None], B[None])`` is the all-pairs matrix and ``dists(A, B)``
+    the row-wise distances.  ``np.vecdot`` runs the same BLAS dot as
+    ``np.dot``, so every entry equals ``sqrt(dot(a - b, a - b))`` exactly;
+    ``(d * d).sum(-1)`` would round differently on some pairs.
+    """
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(np.sqrt(np.dot(d, d)))
+    return np.sqrt(np.vecdot(d, d))
+
+
+def dist(a, b) -> float:
+    """Euclidean distance between two points: the scalar case of :func:`dists`."""
+    return float(dists(a, b))
 
 
 @dataclass(frozen=True)

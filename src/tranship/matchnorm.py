@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import TranshipError, ValidationError
-from .geom import dist
+from .geom import dist, dists
 from .measures import SignedAtomMeasure
 from .mincostflow import solve_min_cost_flow
 
@@ -98,53 +98,35 @@ def minimal_connection(f: SignedAtomMeasure) -> Matching:
         and np.all(pos_mass == pos_mass[0])
         and np.all(neg_mass == pos_mass[0])
     )
+    d = dists(pos_pts[:, None], neg_pts[None])
     if equal:
-        d = _distance_matrix(pos_pts, neg_pts)
         rows, cols = linear_sum_assignment(d)
         triples = [(int(i), int(j), float(pos_mass[0])) for i, j in zip(rows, cols)]
     else:
-        n_pos, n_neg = len(pos_pts), len(neg_pts)
-        arcs = []
-        costs = []
-        for i in range(n_pos):
-            for j in range(n_neg):
-                arcs.append((i, n_pos + j))
-                costs.append(dist(pos_pts[i], neg_pts[j]))
+        # arcs of the complete bipartite graph, source-major like the rows of d
+        n_pos, n_neg = d.shape
+        src, dst = np.divmod(np.arange(d.size), n_neg)
+        arcs = np.column_stack([src, n_pos + dst])
         supply = np.concatenate([pos_mass, -neg_mass])
-        sol = solve_min_cost_flow(n_pos + n_neg, np.array(arcs), np.array(costs), supply)
-        triples = []
-        for a, (i, j) in enumerate(arcs):
-            if sol.arc_flows[a] > 0.0:
-                triples.append((i, j - n_pos, float(sol.arc_flows[a])))
+        sol = solve_min_cost_flow(n_pos + n_neg, arcs, d.ravel(), supply)
+        triples = [
+            (int(src[a]), int(dst[a]), float(sol.arc_flows[a]))
+            for a in np.flatnonzero(sol.arc_flows > 0.0)
+        ]
     edges = _edges_from_pairs(pos_pts, neg_pts, triples)
     return Matching(edges=edges, cost=_matching_cost(edges))
 
 
-def _distance_matrix(pts_a, pts_b) -> np.ndarray:
-    d = np.empty((len(pts_a), len(pts_b)))
-    for i, p in enumerate(pts_a):
-        for j, q in enumerate(pts_b):
-            d[i, j] = dist(p, q)
-    return d
-
-
 def _pair_constraints(points):
-    """Rows of u_i - u_j <= |x_i - x_j| over all ordered support pairs."""
+    """Rows of u_i - u_j <= |x_i - x_j| over all ordered support pairs,
+    ordered by (i, j)."""
     n = len(points)
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = np.zeros(n)
-            row[i] = 1.0
-            row[j] = -1.0
-            rows.append(row)
-            rhs.append(dist(points[i], points[j]))
-    if not rows:
-        return np.zeros((0, n)), np.zeros(0)
-    return np.array(rows), np.array(rhs)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.arange(i.size)
+    a_ub = np.zeros((i.size, n))
+    a_ub[rows, i] = 1.0
+    a_ub[rows, j] = -1.0
+    return a_ub, dists(points[i], points[j])
 
 
 def dual_potential(f: SignedAtomMeasure):
@@ -173,12 +155,10 @@ def dual_potential(f: SignedAtomMeasure):
     u = np.concatenate([[0.0], res.x])
     u -= u.min()
     value = float(np.sum(f.masses * u))
-    lip = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dist(points[i], points[j])
-            if d > 0.0:
-                lip = max(lip, abs(u[i] - u[j]) / d)
+    i, j = np.triu_indices(n, 1)
+    d = dists(points[i], points[j])
+    apart = d > 0.0
+    lip = float(np.max(np.abs(u[i] - u[j])[apart] / d[apart], initial=0.0))
     values = {tuple(p): float(ui) for p, ui in zip(points, u)}
     return Potential(values=values, lip_bound=lip), value
 
@@ -217,13 +197,11 @@ def _flat_norm_lp(f: SignedAtomMeasure, convention: str):
         b_ub = np.zeros(n_rows + 2 * n)
         a_ub[:n_rows, :n] = a_pairs
         a_ub[:n_rows, n] = -b_pairs
-        for i in range(n):
-            a_ub[n_rows + 2 * i, i] = 1.0
-            a_ub[n_rows + 2 * i, n] = 1.0
-            b_ub[n_rows + 2 * i] = 1.0
-            a_ub[n_rows + 2 * i + 1, i] = -1.0
-            a_ub[n_rows + 2 * i + 1, n] = 1.0
-            b_ub[n_rows + 2 * i + 1] = 1.0
+        cols = np.arange(n)
+        a_ub[n_rows + 2 * cols, cols] = 1.0
+        a_ub[n_rows + 2 * cols + 1, cols] = -1.0
+        a_ub[n_rows:, n] = 1.0
+        b_ub[n_rows:] = 1.0
         res = linprog(
             c=np.concatenate([-f.masses, [0.0]]),
             A_ub=a_ub,
@@ -263,7 +241,7 @@ def brute_force_connection(f: SignedAtomMeasure, max_dipoles: int = 7) -> float:
     k = len(pos_pts)
     if k > max_dipoles:
         raise ValidationError(f"brute force oracle limited to {max_dipoles} dipoles, got {k}")
-    d = _distance_matrix(pos_pts, neg_pts)
+    d = dists(pos_pts[:, None], neg_pts[None])
     perms = _all_permutations(k)
     costs = d[np.arange(k)[None, :], perms].sum(axis=1)
     return float(magnitude * costs.min())

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import TailBoundError, UnbalancedMeasureError, ValidationError
 from .funcs import TestFunction
-from .geom import Grid, as_point, dist, gauss_legendre, segment_quadrature, vec_norm
+from .geom import Grid, as_point, dists, gauss_legendre, segment_quadrature, vec_norm
 
 __all__ = [
     "SignedAtomMeasure",
@@ -49,30 +49,29 @@ class QuadratureDegreeWarning(UserWarning):
 
 
 def _merge_atoms(points, masses):
-    """Identify atoms closer than 1e-9 of the instance diameter; drop zeros."""
+    """Identify atoms closer than 1e-9 of the instance diameter; drop zeros.
+
+    First fit: an atom joins the first kept atom within the tolerance, and
+    masses are added in input order.
+    """
     if len(points) == 0:
         return points, masses
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     tol = MERGE_RTOL * vec_norm(hi - lo)
-    kept_pts: list = []
-    kept_mass: list = []
+    kept_pts = np.empty_like(points)
+    kept_mass = np.empty(len(points))
+    n_kept = 0
     for p, m in zip(points, masses):
-        for i, q in enumerate(kept_pts):
-            if dist(p, q) <= tol:
-                kept_mass[i] += m
-                break
+        near = np.flatnonzero(dists(p, kept_pts[:n_kept]) <= tol)
+        if near.size:
+            kept_mass[near[0]] += m
         else:
-            kept_pts.append(p)
-            kept_mass.append(m)
-    pts, ms = [], []
-    for p, m in zip(kept_pts, kept_mass):
-        if m != 0.0:
-            pts.append(p)
-            ms.append(m)
-    if not pts:
-        return np.zeros((0, points.shape[1])), np.zeros(0)
-    return np.array(pts), np.array(ms)
+            kept_pts[n_kept] = p
+            kept_mass[n_kept] = m
+            n_kept += 1
+    nonzero = kept_mass[:n_kept] != 0.0
+    return kept_pts[:n_kept][nonzero], kept_mass[:n_kept][nonzero]
 
 
 @dataclass(frozen=True)
@@ -171,9 +170,8 @@ class DipoleChain:
 
     def __post_init__(self):
         pairs = tuple((as_point(p), as_point(n)) for p, n in self.pairs)
-        for p, n in pairs:
-            if p.shape != n.shape:
-                raise ValidationError("dipole endpoints have mismatched dimensions")
+        if len({q.shape for pair in pairs for q in pair}) > 1:
+            raise ValidationError("dipole endpoints have mismatched dimensions")
         object.__setattr__(self, "pairs", pairs)
         if self.tail is not None:
             ratio, first = float(self.tail[0]), float(self.tail[1])
@@ -191,7 +189,8 @@ class DipoleChain:
         return self.pairs[0][0].size if self.pairs else 2
 
     def lengths(self) -> np.ndarray:
-        return np.array([dist(p, n) for p, n in self.pairs])
+        ends = np.array(self.pairs).reshape(-1, 2, self.dim)
+        return dists(ends[:, 0], ends[:, 1])
 
     def tail_bound(self, k: int) -> float:
         """Certified bound on sum_{i>k} |p_i - n_i| (listed suffix + analytic tail)."""
@@ -314,7 +313,7 @@ class StructuredVectorMeasure:
         object.__setattr__(self, "seg_a", sa)
         object.__setattr__(self, "seg_b", sb)
         object.__setattr__(self, "seg_density", sd)
-        lengths = np.array([dist(a, b) for a, b in zip(sa, sb)])
+        lengths = dists(sa, sb)
         lengths.setflags(write=False)
         object.__setattr__(self, "_lengths", lengths)
         if np.any(lengths == 0.0):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError, VerificationError
 from .genplan import plan_from_matching, plan_from_vector_measure, split
-from .geom import dist, vec_norm
+from .geom import dist, dists, vec_norm
 from .matchnorm import Matching, dual_potential, minimal_connection
 from .measures import (
     Distribution,
@@ -137,20 +137,14 @@ class SupportCones:
     points: np.ndarray
     values: np.ndarray
 
+    def _cones(self, point) -> np.ndarray:
+        return self.values - dists(point, self.points)
+
     def value(self, point) -> float:
-        best = -np.inf
-        for p, v in zip(self.points, self.values):
-            best = max(best, v - dist(point, p))
-        return best
+        return np.max(self._cones(point), initial=-np.inf)
 
     def gradient(self, point) -> np.ndarray:
-        best = -np.inf
-        arg = None
-        for p, v in zip(self.points, self.values):
-            cand = v - dist(point, p)
-            if cand > best:
-                best = cand
-                arg = p
+        arg = self.points[np.argmax(self._cones(point))]
         d = np.asarray(point, dtype=float) - arg
         r = vec_norm(d)
         if r == 0.0:
@@ -308,13 +302,12 @@ def _tangential_divergence(nu_t: StructuredVectorMeasure):
 def _separation_radius(support_points, normal_atoms) -> float:
     if not normal_atoms:
         return 1.0
-    d_min = np.inf
-    pts = [p for p, _ in normal_atoms]
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            d_min = min(d_min, dist(p, q))
-        for q in support_points:
-            d_min = min(d_min, dist(p, q))
+    pts = np.array([p for p, _ in normal_atoms])
+    i, j = np.triu_indices(len(pts), 1)
+    d_min = float(min(
+        np.min(dists(pts[i], pts[j]), initial=np.inf),
+        np.min(dists(pts[:, None], support_points[None]), initial=np.inf),
+    ))
     if not np.isfinite(d_min):
         return 1.0
     return d_min / 4.0
@@ -388,6 +381,8 @@ def modulus(
     samples = []
     for eps in eps_list:
         eps = float(eps)
+        if np.isnan(eps):
+            raise ValidationError("eps must be a number, got nan")
         if eps < 0.0 or (eps == 0.0 and chain.tail is not None):
             floor = "any eps > 0" if chain.tail is not None else "eps >= 0"
             raise ValidationError(

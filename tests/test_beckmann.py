@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -91,6 +92,31 @@ class TestCertificates:
 
 
 class TestGridNetwork:
+    @pytest.mark.parametrize(
+        "resolution, diagonals",
+        [((4, 3), False), ((4, 3), True), ((3, 2, 2), False), ((3, 2, 2), True)],
+    )
+    def test_edges_follow_cells_then_offsets(self, resolution, diagonals):
+        # the edge order fixes the solver's tie-breaking: cells in C order,
+        # then the neighbour offsets in their listed order
+        domain = Domain([0.0] * len(resolution), [1.0] * len(resolution))
+        net = grid_network(domain, resolution, SignedAtomMeasure.empty(len(resolution)), diagonals)
+        steps = [
+            off for off in itertools.product((-1, 0, 1), repeat=len(resolution))
+            if any(off) and (diagonals or sum(map(abs, off)) == 1)
+            and off > tuple(-o for o in off)
+        ]
+        expected = []
+        for cell in itertools.product(*map(range, resolution)):
+            for off in steps:
+                nb = tuple(c + o for c, o in zip(cell, off))
+                if all(0 <= k < r for k, r in zip(nb, resolution)):
+                    expected.append(
+                        [int(np.ravel_multi_index(q, resolution)) for q in (cell, nb)]
+                    )
+        assert net.edges.tolist() == expected
+        assert net.lengths.tolist() == [dist(net.points[i], net.points[j]) for i, j in expected]
+
     def test_binning_3x1(self):
         domain = Domain([0.0, 0.0], [1.0, 0.1])
         f = SignedAtomMeasure.from_atoms([((0.1, 0.05), 1.0), ((0.9, 0.05), -1.0)])

@@ -228,6 +228,31 @@ class TestCommands:
         }
         path = write_doc(tmp_path, unbalanced, name="unbalanced.json")
         assert run(["connect", path]) == 2
+        # each case breaks one field of a document that is otherwise valid
+        chain = {"version": 1, "dipoles": {"pairs": [{"p": [0, 0], "n": [1, 0]}]}}
+        path = write_doc(tmp_path, chain, name="chain.json")
+        out = ["--out", str(tmp_path / "report.json")]
+        assert run(["connect", path] + out) == 0
+        assert run(["modulus", path, "--eps", "0.5"] + out) == 0
+        assert run(["modulus", path, "--eps", "0.5,x"] + out) == 2
+        assert run(["modulus", path, "--eps", "nan"] + out) == 2
+        modulus = ["modulus", "--eps", "0.5"]
+        malformed = [
+            (modulus, {"test_functions": [{"kind": "polynomial", "coeffs": {"x,0": 1}}]}),
+            (modulus, {"test_functions": [{"kind": "polynomial", "coeffs": {"1,0": "abc"}}]}),
+            (modulus, {"test_functions": [{"kind": "polynomial", "coeffs": {"1,0": [1]}}]}),
+            (modulus, {"test_functions": [{"kind": "polynomial", "coeffs": {"1,0": True}}]}),
+            (modulus, {"test_functions": [{"kind": "coordinate", "axis": "x"}]}),
+            (["modulus"], {"options": {"eps": ["abc"]}}),
+            (["connect"], {"options": {"truncation_eps": "abc"}}),
+            (["connect"], {"dipoles": {"pairs": [{"p": [0, 0], "n": [1, 0]}, {"p": [0, 0, 1], "n": [1, 0, 1]}]}}),
+        ]
+        for k, (command, change) in enumerate(malformed):
+            path = write_doc(tmp_path, {**chain, **change}, name=f"malformed{k}.json")
+            assert run(command[:1] + [path] + command[1:] + out) == 2, change
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"version": 1, "options": {"label": "\u00e9"}}'.encode("latin-1"))
+        assert run(["connect", str(latin1)]) == 2
 
     def test_infeasible_exit_code(self, tmp_path, monkeypatch):
         # grid and complete networks are connected by construction, so force

@@ -55,15 +55,6 @@ class TestRasterizePlan:
         with pytest.raises(ValidationError):
             rasterize_plan(edge_matching((0.0, 0.0), (2.0, 0.0), 1.0), UNIT_GRID_2x1)
 
-    def test_worker_count_does_not_change_the_result(self, rng):
-        f = random_balanced_measure(rng, max_pairs=10)
-        matching = minimal_connection(f)
-        grid = Grid(Domain([-0.1, -0.1], [1.1, 1.1]), (32, 32))
-        base = rasterize_plan(matching, grid, workers=1)
-        for workers in (2, 3, 7):
-            again = rasterize_plan(matching, grid, workers=workers)
-            assert np.array_equal(base.masses, again.masses)
-
 
 class TestRasterizeVectorMeasure:
     def test_tangential_unit_segment(self):

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from tranship.errors import ValidationError
-from tranship.geom import Domain, Grid, dist, gauss_legendre, segment_cell_intervals, segment_quadrature
+from tranship.geom import (
+    Domain,
+    Grid,
+    dist,
+    dists,
+    gauss_legendre,
+    segment_cell_intervals,
+    segment_quadrature,
+)
 
 
 def test_domain_requires_strict_box():
@@ -73,3 +81,30 @@ def test_clipping_rejects_outside_endpoint():
     grid = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (2, 2))
     with pytest.raises(ValidationError):
         segment_cell_intervals(grid, [0.5, 0.5], [1.5, 0.5])
+
+
+def _reference_dist(a, b) -> float:
+    d = a - b
+    return np.sqrt(np.dot(d, d))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dists_is_bit_identical_to_per_pair_dot(dim):
+    # spread magnitudes so that summation order would show in the last bit
+    rng = np.random.default_rng(20 + dim)
+    a = rng.uniform(-1.0, 1.0, (40, dim)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+    b = rng.uniform(-1.0, 1.0, (30, dim)) * 10.0 ** rng.uniform(-3, 3, (30, 1))
+    expected = np.array([[_reference_dist(p, q) for q in b] for p in a])
+    all_pairs = dists(a[:, None], b[None])
+    assert all_pairs.shape == (40, 30)
+    assert np.array_equal(all_pairs, expected)
+    assert np.array_equal(dists(a[:30], b), np.diag(expected))
+    for i in range(30):
+        assert dist(a[i], b[i]) == expected[i, i]
+        assert dists(a[i], b[i]) == expected[i, i]
+
+
+def test_dists_shapes():
+    assert dists(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+    assert dists([3.0, 4.0], np.zeros((5, 2))).tolist() == [5.0] * 5
+    assert isinstance(dist([0.0, 0.0], [3.0, 4.0]), float)

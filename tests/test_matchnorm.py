@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tranship.errors import UnbalancedMeasureError, ValidationError
 from tranship.geom import dist
 from tranship.matchnorm import (
+    _pair_constraints,
     brute_force_connection,
     dual_potential,
     flat_norm,
@@ -177,6 +178,18 @@ class TestBruteForce:
 
 
 class TestDualPotential:
+    def test_pair_constraint_rows_in_pair_order(self, rng):
+        points = rng.uniform(size=(5, 2))
+        a_ub, b_ub = _pair_constraints(points)
+        pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
+        expected = np.zeros((len(pairs), 5))
+        for row, (i, j) in enumerate(pairs):
+            expected[row, i] = 1.0
+            expected[row, j] = -1.0
+        assert np.array_equal(a_ub, expected)
+        assert b_ub.tolist() == [dist(points[i], points[j]) for i, j in pairs]
+        assert _pair_constraints(points[:1])[0].shape == (0, 1)
+
     def test_unit_dipole_values(self, unit_dipole):
         pot, value = dual_potential(unit_dipole)
         assert value == 1.0

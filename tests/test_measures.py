@@ -156,6 +156,23 @@ class TestAtomMeasure:
         assert len(m) == 2
         assert m.balanced
 
+    def test_merging_is_first_fit(self):
+        # |a-b| and |b-c| are within the merge tolerance, |a-c| is not: b joins
+        # a (the first kept atom within reach) and c stays a separate atom
+        tol = 1e-9 * 10.0  # MERGE_RTOL times the diameter of the instance
+        a, b, c = (0.0, 0.0), (0.6 * tol, 0.0), (1.2 * tol, 0.0)
+        m = SignedAtomMeasure.from_atoms(
+            [(a, 1.0), (b, 2.0), (c, 4.0), ((10.0, 0.0), -7.0)]
+        )
+        assert m.points.tolist() == [list(a), list(c), [10.0, 0.0]]
+        assert m.masses.tolist() == [3.0, 4.0, -7.0]
+        # with a and c both kept, b is in reach of both and joins the first
+        m = SignedAtomMeasure.from_atoms(
+            [(a, 1.0), (c, 4.0), (b, 2.0), ((10.0, 0.0), -7.0)]
+        )
+        assert m.points.tolist() == [list(a), list(c), [10.0, 0.0]]
+        assert m.masses.tolist() == [3.0, 4.0, -7.0]
+
     def test_exact_cancellation_removes_the_atom(self):
         m = SignedAtomMeasure.from_atoms(
             [((0.0, 0.0), 1.0), ((0.0, 0.0), -1.0), ((1.0, 1.0), 2.0), ((0.0, 1.0), -2.0)]
