@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import ValidationError
 from .geom import Domain, Grid, dists
@@ -192,22 +191,26 @@ def flow_to_vector_measure(net: FlowNetwork, flow: Flow) -> StructuredVectorMeas
     return StructuredVectorMeasure.build(net.dim, segments=segments, validate=False)
 
 
+# (dim, diagonals) -> anisotropy bound, the exact floats scipy's ConvexHull of
+# the normalized steps gives (tests recompute them); the 3-d axis value is one
+# ulp below math.sqrt(3), and reports carry these bits
+_ANISOTROPY = {
+    (2, False): 1.4142135623730951,
+    (2, True): 1.082392200292394,
+    (3, False): 1.732050807568877,
+    (3, True): 1.1280928107595818,
+}
+
+
 def anisotropy_bound(dim: int, diagonals: bool) -> float:
     """Worst-case ratio of grid-graph metric to Euclidean distance.
 
     This is the gauge distortion of the step-direction set: 1 over the
     distance from the origin to the convex hull of the normalized steps.
     Axis-only grids give sqrt(dim); the 8-neighbor 2-d stencil gives
-    1/cos(pi/8) ~ 1.0824.
+    1/cos(pi/8) ~ 1.0824.  Only the dimensions a :class:`Domain` allows,
+    2 and 3, are supported.
     """
-    steps = []
-    for off in itertools.product((-1, 0, 1), repeat=dim):
-        if not any(off):
-            continue
-        if not diagonals and sum(abs(o) for o in off) != 1:
-            continue
-        steps.append(off)
-    dirs = np.array(steps, dtype=float)
-    dirs /= np.sqrt((dirs**2).sum(axis=1))[:, None]
-    hull = ConvexHull(dirs)
-    return float(1.0 / np.min(np.abs(hull.equations[:, -1])))
+    if dim not in (2, 3):
+        raise ValidationError(f"anisotropy bound needs dimension 2 or 3, got {dim}")
+    return _ANISOTROPY[(dim, bool(diagonals))]

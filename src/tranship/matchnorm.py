@@ -8,6 +8,10 @@ Three independent routes to the same value:
 * :func:`dual_potential` -- the finite dual LP over all support pairs,
 * :func:`brute_force_connection` -- exhaustive matching oracle for tiny
   unit-mass instances.
+
+The LP and assignment solvers come from :mod:`scipy.optimize`, which is
+imported on the first call of :func:`linprog` or
+:func:`linear_sum_assignment`, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import TranshipError, ValidationError
 from .geom import dist, dists
@@ -32,6 +35,21 @@ __all__ = [
     "flat_norm",
     "brute_force_connection",
 ]
+
+
+# scipy.optimize takes about half a second to import, so it is loaded on the
+# first solve; the names stay module attributes so callers can rebind them.
+def linprog(*args, **kwargs):
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
+def linear_sum_assignment(cost_matrix):
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost_matrix)
+
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,

@@ -320,8 +320,14 @@ class StructuredVectorMeasure:
             raise ValidationError("segments must have positive length")
         if self.validate and len(sa) > 1:
             scale = float(np.max(lengths))
-            for i in range(len(sa)):
-                for j in range(i + 1, len(sa)):
+            units = (sb - sa) / lengths[:, None]
+            for i in range(len(sa) - 1):
+                cos = np.vecdot(units[i], units[i + 1 :])
+                # only near-parallel pairs can overlap; the prefilter is looser
+                # than the 1e-18 of _segments_overlap, so a last-bit difference
+                # in cos cannot skip a pair that test would flag
+                near = np.flatnonzero(np.maximum(0.0, 1.0 - cos * cos) <= 1e-12)
+                for j in (i + 1 + near).tolist():
                     if _segments_overlap(
                         sa[i], sb[i], sd[i], sa[j], sb[j], sd[j], scale
                     ):

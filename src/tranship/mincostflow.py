@@ -20,6 +20,9 @@ With arcs built from Euclidean lengths this makes ``u`` a Kantorovich
 potential certifying the transport cost, which is why the augmentation and
 the potentials are written out rather than delegated: the certificates are
 part of the public contract.
+
+:mod:`scipy.sparse.csgraph` is imported inside :func:`solve_min_cost_flow`,
+so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import InfeasibleFlowError, ValidationError, VerificationError
 
@@ -64,6 +65,9 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
         If the augmentation limit is exceeded (numerically inconsistent
         supplies).
     """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
     arcs = np.asarray(arcs, dtype=int).reshape(-1, 2)
     costs = np.asarray(costs, dtype=float).ravel()
     supply = np.asarray(supply, dtype=float).ravel()

@@ -209,6 +209,26 @@ class TestAnisotropy:
         assert abs(anisotropy_bound(3, False) - math.sqrt(3.0)) <= 1e-12
         assert 1.0 < anisotropy_bound(3, True) < anisotropy_bound(2, True) + 0.1
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("diagonals", [False, True])
+    def test_table_equals_convex_hull(self, dim, diagonals):
+        from scipy.spatial import ConvexHull
+
+        steps = [
+            off
+            for off in itertools.product((-1, 0, 1), repeat=dim)
+            if any(off) and (diagonals or sum(map(abs, off)) == 1)
+        ]
+        dirs = np.array(steps, dtype=float)
+        dirs /= np.sqrt((dirs**2).sum(axis=1))[:, None]
+        hull = ConvexHull(dirs)
+        assert anisotropy_bound(dim, diagonals) == float(1.0 / np.min(np.abs(hull.equations[:, -1])))
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_unsupported_dimension_rejected(self, dim):
+        with pytest.raises(ValidationError, match="dimension 2 or 3"):
+            anisotropy_bound(dim, False)
+
     def test_grid_cost_within_anisotropy_envelope(self, rng):
         domain = Domain([0.0, 0.0], [1.0, 1.0])
         for diagonals in (False, True):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tranship.errors import TailBoundError, ValidationError
 from tranship.funcs import Coordinate, Polynomial, polynomial_family
+from tranship.geom import vec_norm
 from tranship.measures import (
     DipoleChain,
     Distribution,
@@ -13,6 +14,7 @@ from tranship.measures import (
     QuadratureDegreeWarning,
     SignedAtomMeasure,
     StructuredVectorMeasure,
+    _segments_overlap,
     divergence_as_measure,
     from_dipoles,
     pair,
@@ -293,6 +295,71 @@ class TestSegmentValidation:
             ],
         )
         assert nu.n_segments == 2
+
+    @staticmethod
+    def first_overlap_reference(segments, scale):
+        """The all-pairs scalar scan: first (i, j) in row-major order."""
+        segments = [[np.asarray(x, dtype=float) for x in seg] for seg in segments]
+        for i in range(len(segments)):
+            for j in range(i + 1, len(segments)):
+                if _segments_overlap(*segments[i], *segments[j], scale):
+                    return i, j
+        return None
+
+    @staticmethod
+    def line_segments(rng, dim, signs, n_lines, per_line):
+        """Segments on a few shared lines, in random order: either end first
+        (antiparallel directions), overlapping or disjoint, with densities
+        along the line with a sign drawn from `signs`, plus a few free
+        segments."""
+        segments = []
+        for k in range(n_lines):
+            p = rng.integers(-4, 5, size=dim).astype(float)
+            if k % 2 == 0:  # axis-aligned: exactly parallel unit directions
+                d = np.zeros(dim)
+                d[rng.integers(dim)] = 1.0
+            else:  # tilted: directions that agree only up to rounding
+                d = rng.normal(size=dim)
+            for _ in range(per_line):
+                t0, t1 = rng.choice(np.arange(-6.0, 7.0) / 2.0, size=2, replace=False)
+                sign = rng.choice(signs)
+                segments.append((p + t0 * d, p + t1 * d, sign * rng.uniform(0.5, 2.0) * d))
+        for _ in range(3):
+            segments.append((rng.normal(size=dim), rng.normal(size=dim), rng.normal(size=dim)))
+        return [segments[k] for k in rng.permutation(len(segments))]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_all_pairs_scalar_scan(self, dim):
+        rng = np.random.default_rng(7 + dim)
+        outcomes = []
+        for trial in range(60):
+            # every third trial has aligned densities on each line: nothing to reject
+            signs = [1.0] if trial % 3 == 0 else [-1.0, 1.0]
+            segments = self.line_segments(rng, dim, signs, n_lines=3, per_line=1 + trial % 4)
+            scale = max(vec_norm(b - a) for a, b, _ in segments)
+            expected = self.first_overlap_reference(segments, scale)
+            outcomes.append(expected)
+            if expected is None:
+                StructuredVectorMeasure.build(dim, segments=segments)
+            else:
+                i, j = expected
+                with pytest.raises(ValidationError, match=f"^segments {i} and {j} overlap"):
+                    StructuredVectorMeasure.build(dim, segments=segments)
+        assert any(o is None for o in outcomes)
+        assert any(o is not None and o[0] > 0 for o in outcomes)
+
+    def test_error_names_first_pair(self):
+        segments = [
+            ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0)),
+            ((5.0, 0.0), (3.0, 0.0), (1.0, 0.0)),  # antiparallel to 3, density aligned
+            ((0.0, 2.0), (4.0, 2.0), (1.0, 0.0)),  # collinear with 4 but disjoint
+            ((2.0, 0.0), (6.0, 0.0), (2.0, 0.0)),
+            ((5.0, 2.0), (7.0, 2.0), (-1.0, 0.0)),
+            ((3.5, 0.0), (4.5, 0.0), (-1.0, 0.0)),  # opposes 1 and 3
+        ]
+        assert self.first_overlap_reference(segments, 4.0) == (1, 5)
+        with pytest.raises(ValidationError, match="^segments 1 and 5 overlap"):
+            StructuredVectorMeasure.build(2, segments=segments)
 
 
 class TestFromDipoles:
