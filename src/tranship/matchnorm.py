@@ -3,20 +3,20 @@ Lipschitz potential, and the flat norm with its bounded-potential variant.
 
 Three independent routes to the same value:
 
-* :func:`minimal_connection` -- primal transport (assignment fast path for
-  equal masses, successive-shortest-path flow otherwise),
+* :func:`minimal_connection` -- primal transport, one min-cost flow on the
+  complete bipartite graph for every mass pattern, certified by the
+  c-transform of the flow's sink potentials,
 * :func:`dual_potential` -- the finite dual LP over all support pairs,
 * :func:`brute_force_connection` -- exhaustive matching oracle for tiny
   unit-mass instances.
 
-The LP and assignment solvers come from :mod:`scipy.optimize`, which is
-imported on the first call of :func:`linprog` or
-:func:`linear_sum_assignment`, so importing this module loads no scipy.
+The LP solver comes from :mod:`scipy.optimize`, which is imported on the
+first call of :func:`linprog`, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
@@ -38,7 +38,8 @@ __all__ = [
 
 
 # scipy.optimize takes about half a second to import, so it is loaded on the
-# first solve; the names stay module attributes so callers can rebind them.
+# first solve; the names stay module attributes so callers can rebind them
+# (linear_sum_assignment too, although no solver here calls it).
 def linprog(*args, **kwargs):
     from scipy.optimize import linprog
 
@@ -59,10 +60,14 @@ _LP_OPTIONS = {
 
 @dataclass(frozen=True)
 class Matching:
-    """Transport edges (source point, target point, mass > 0) and their cost."""
+    """Transport edges (source point, target point, mass > 0), their cost and,
+    when built by :func:`minimal_connection`, a potential certifying the cost:
+    1-Lipschitz, minimum 0, aligned with the measure's points, and with
+    ``sum(masses * potential) == cost`` up to roundoff."""
 
     edges: tuple  # ((source, target, mass), ...) lexicographic by atom index
     cost: float
+    potential: np.ndarray | None = field(default=None, compare=False)
 
     def __len__(self):
         return len(self.edges)
@@ -100,39 +105,48 @@ def _edges_from_pairs(pos_pts, neg_pts, triples):
 def minimal_connection(f: SignedAtomMeasure) -> Matching:
     """Min-cost transport between the positive and negative parts of `f`.
 
-    For equal masses this is an optimal assignment (Hungarian-style); in
-    general it is an uncapacitated min-cost flow on the complete bipartite
-    graph.  Edges are ordered lexicographically by (source, target) atom
-    index, and the cost equals the Kantorovich norm of `f`.
+    An uncapacitated min-cost flow on the complete bipartite graph, for equal
+    and distinct masses alike.  Edges are ordered lexicographically by
+    (source, target) atom index, and the cost equals the Kantorovich norm of
+    `f`.  The potential is the c-transform of the flow's sink potentials.
     """
     f.require_balanced()
     pos_pts, pos_mass = f.positive_part()
     neg_pts, neg_mass = f.negative_part()
     if len(pos_pts) == 0:
-        return Matching(edges=(), cost=0.0)
+        return Matching(edges=(), cost=0.0, potential=_read_only(np.zeros(len(f))))
 
-    equal = (
-        len(pos_pts) == len(neg_pts)
-        and np.all(pos_mass == pos_mass[0])
-        and np.all(neg_mass == pos_mass[0])
-    )
+    # arcs of the complete bipartite graph, source-major like the rows of d
     d = dists(pos_pts[:, None], neg_pts[None])
-    if equal:
-        rows, cols = linear_sum_assignment(d)
-        triples = [(int(i), int(j), float(pos_mass[0])) for i, j in zip(rows, cols)]
-    else:
-        # arcs of the complete bipartite graph, source-major like the rows of d
-        n_pos, n_neg = d.shape
-        src, dst = np.divmod(np.arange(d.size), n_neg)
-        arcs = np.column_stack([src, n_pos + dst])
-        supply = np.concatenate([pos_mass, -neg_mass])
-        sol = solve_min_cost_flow(n_pos + n_neg, arcs, d.ravel(), supply)
-        triples = [
-            (int(src[a]), int(dst[a]), float(sol.arc_flows[a]))
-            for a in np.flatnonzero(sol.arc_flows > 0.0)
-        ]
+    n_pos, n_neg = d.shape
+    src, dst = np.divmod(np.arange(d.size), n_neg)
+    arcs = np.column_stack([src, n_pos + dst])
+    supply = np.concatenate([pos_mass, -neg_mass])
+    sol = solve_min_cost_flow(n_pos + n_neg, arcs, d.ravel(), supply)
+    triples = [
+        (int(src[a]), int(dst[a]), float(sol.arc_flows[a]))
+        for a in np.flatnonzero(sol.arc_flows > 0.0)
+    ]
     edges = _edges_from_pairs(pos_pts, neg_pts, triples)
-    return Matching(edges=edges, cost=_matching_cost(edges))
+    potential = _c_transform(f.points, neg_pts, sol.potentials[n_pos:])
+    return Matching(edges=edges, cost=_matching_cost(edges), potential=potential)
+
+
+def _c_transform(points, sinks, sink_values):
+    """phi(x) = min_t (v_t + |x - t|) at `points`, shifted to minimum 0.
+
+    A minimum of 1-Lipschitz cones is 1-Lipschitz, so sum(m phi) is a lower
+    bound on the transport cost (weak duality).  With the flow's potentials
+    (v_s - v_t <= |s - t|, equality on flow-carrying arcs) phi equals them at
+    every atom the flow passes through, so the bound reaches the cost.
+    """
+    phi = np.min(sink_values[None] + dists(points[:, None], sinks[None]), axis=1)
+    return _read_only(phi - phi.min())
+
+
+def _read_only(values):
+    values.setflags(write=False)
+    return values
 
 
 def _pair_constraints(points):

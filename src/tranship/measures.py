@@ -250,7 +250,9 @@ def _segments_overlap(a1, b1, d1, a2, b2, d2, scale):
     lv = vec_norm(v)
     cos = float(np.dot(u / lu, v / lv))
     sin2 = max(0.0, 1.0 - cos * cos)
-    if sin2 > 1e-18:
+    # 1 - cos^2 is 0 or a few multiples of 1.1e-16 for exactly parallel
+    # directions, so a threshold below that would miss tilted collinear pairs
+    if sin2 > 1e-14:
         return False
     # same supporting line?
     w = a2 - a1
@@ -324,7 +326,7 @@ class StructuredVectorMeasure:
             for i in range(len(sa) - 1):
                 cos = np.vecdot(units[i], units[i + 1 :])
                 # only near-parallel pairs can overlap; the prefilter is looser
-                # than the 1e-18 of _segments_overlap, so a last-bit difference
+                # than the 1e-14 of _segments_overlap, so a last-bit difference
                 # in cos cannot skip a pair that test would flag
                 near = np.flatnonzero(np.maximum(0.0, 1.0 - cos * cos) <= 1e-12)
                 for j in (i + 1 + near).tolist():

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError, VerificationError
 from .genplan import plan_from_matching, plan_from_vector_measure, split
 from .geom import dist, dists, vec_norm
-from .matchnorm import Matching, dual_potential, minimal_connection
+from .matchnorm import Matching, minimal_connection
 from .measures import (
     Distribution,
     DipoleChain,
@@ -268,9 +268,8 @@ def _try_certify(parts: TangentialSplit):
         return None, None
     matching = minimal_connection(converted)
     if len(converted):
-        potential, _ = dual_potential(converted)
         pot_pts = converted.points
-        pot_vals = np.array([potential.values[tuple(p)] for p in pot_pts])
+        pot_vals = matching.potential
     else:
         pot_pts = np.zeros((0, parts.tangential.dim))
         pot_vals = np.zeros(0)

@@ -20,6 +20,32 @@ PLAN_DOC = {
     ],
 }
 
+DISTINCT_DOC = {
+    "version": 1,
+    "atoms": [
+        {"point": [0.0, 0.0], "mass": 0.75},
+        {"point": [2.0, 0.0], "mass": 0.25},
+        {"point": [1.0, 1.0], "mass": -0.5},
+        {"point": [3.0, 1.0], "mass": -0.5},
+    ],
+}
+
+EQUAL_DOC = {
+    "version": 1,
+    "atoms": [
+        {"point": [0.0, 0.0], "mass": 1.0},
+        {"point": [2.0, 0.0], "mass": 1.0},
+        {"point": [1.0, 1.0], "mass": -1.0},
+        {"point": [3.0, 1.0], "mass": -1.0},
+    ],
+}
+
+DECOMPOSE_DOC = {
+    "version": 1,
+    "segments": [{"a": [0.0, 0.0], "b": [1.0, 0.0], "density": [1.0, 0.0]}],
+    "vector_atoms": [{"point": [4.0, 0.0], "vector": [0.0, 2.0]}],
+}
+
 DIPOLE_DOC = {
     "version": 1,
     "dipoles": {"pairs": [{"p": [0.0, float(i)], "n": [2.0**-i, float(i)]} for i in range(1, 6)]},
@@ -42,6 +68,10 @@ def scipy_modules_after(code: str) -> dict:
     )
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout.splitlines()[-1])
+
+
+def loads(modules, package) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in modules)
 
 
 def run_command(argv) -> dict:
@@ -81,4 +111,30 @@ def test_beckmann_grid_loads_only_csgraph(tmp_path):
     assert result["status"] == 0
     assert "scipy.sparse.csgraph" in result["scipy"]
     for package in ("scipy.optimize", "scipy.spatial"):
-        assert not any(m == package or m.startswith(package + ".") for m in result["scipy"])
+        assert not loads(result["scipy"], package)
+
+
+@pytest.mark.parametrize(
+    "doc, command",
+    [(DISTINCT_DOC, "connect"), (EQUAL_DOC, "connect"), (DECOMPOSE_DOC, "decompose")],
+    ids=["connect-distinct", "connect-equal", "decompose"],
+)
+def test_flow_certified_commands_load_no_optimize(tmp_path, doc, command):
+    # the certificate is the flow's own potential: no LP, no assignment
+    path = write_doc(tmp_path, doc)
+    out = str(tmp_path / "report.out")
+    result = run_command([command, path, "--out", out])
+    assert result["status"] == 0
+    assert "scipy.sparse.csgraph" in result["scipy"]
+    assert not loads(result["scipy"], "scipy.optimize")
+
+
+@pytest.mark.parametrize(
+    "args", [["dual"], ["flatnorm", "--convention", "max"]], ids=["dual", "flatnorm"]
+)
+def test_lp_commands_load_optimize(tmp_path, args):
+    path = write_doc(tmp_path, DISTINCT_DOC)
+    out = str(tmp_path / "report.out")
+    result = run_command([args[0], path, *args[1:], "--out", out])
+    assert result["status"] == 0
+    assert loads(result["scipy"], "scipy.optimize")

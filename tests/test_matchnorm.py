@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tranship.errors import UnbalancedMeasureError, ValidationError
-from tranship.geom import dist
+from tranship.geom import dist, dists
 from tranship.matchnorm import (
     _pair_constraints,
     brute_force_connection,
@@ -116,6 +116,57 @@ class TestMinimalConnection:
             assert minimal_connection(f).cost == brute_force_connection(f)
 
 
+def certificate_instance(kind: str) -> SignedAtomMeasure:
+    rng = np.random.default_rng({"distinct": 31, "equal": 32, "3d": 33, "large": 34}[kind])
+    if kind == "distinct":
+        return random_balanced_measure(rng, max_pairs=12)
+    if kind == "equal":
+        return random_unit_dipole_measure(rng, max_pairs=12)
+    n_pos, n_neg, dim = {"3d": (9, 14, 3), "large": (110, 100, 2)}[kind]
+    pos_mass = rng.uniform(0.05, 1.0, size=n_pos)
+    neg_mass = rng.uniform(0.05, 1.0, size=n_neg)
+    neg_mass *= pos_mass.sum() / neg_mass.sum()
+    points = rng.uniform(0.0, 1.0, size=(n_pos + n_neg, dim))
+    return SignedAtomMeasure(points, np.concatenate([pos_mass, -neg_mass]))
+
+
+class TestConnectionPotential:
+    """The potential minimal_connection returns certifies its cost offline."""
+
+    @pytest.mark.parametrize("kind", ["distinct", "equal", "3d", "large"])
+    def test_potential_certifies_the_cost(self, kind):
+        f = certificate_instance(kind)
+        m = minimal_connection(f)
+        u = m.potential
+        pts = f.points
+        assert u.shape == (len(f),) and u.min() == 0.0
+        d = dists(pts[:, None], pts[None])
+        assert np.max(u[:, None] - u[None] - d) <= 1e-12
+        scale = max(1.0, float(d.max()))
+        index = {tuple(p): k for k, p in enumerate(pts)}
+        for s, t, _mass in m.edges:
+            drop = u[index[tuple(s)]] - u[index[tuple(t)]]
+            assert abs(drop - dist(s, t)) <= 1e-12 * scale
+        value = float(np.sum(f.masses * u))
+        assert abs(value - m.cost) <= 1e-12 * m.cost
+        _, lp_value = dual_potential(f)
+        assert abs(value - lp_value) <= 1e-9 * lp_value
+
+    def test_instances_have_the_intended_shape(self):
+        assert len(certificate_instance("large")) >= 200
+        assert certificate_instance("3d").dim == 3
+        _, pos_mass = certificate_instance("equal").positive_part()
+        assert len(pos_mass) > 1 and np.all(pos_mass == 1.0)
+        _, pos_mass = certificate_instance("distinct").positive_part()
+        assert len(np.unique(pos_mass)) == len(pos_mass) > 1
+
+    def test_potential_is_read_only_and_empty_for_empty_measure(self, rng):
+        m = minimal_connection(random_balanced_measure(rng, max_pairs=4))
+        with pytest.raises(ValueError):
+            m.potential[0] = 1.0
+        assert minimal_connection(SignedAtomMeasure.empty()).potential.shape == (0,)
+
+
 class TestBruteForceProperty:
     @given(
         st.lists(
@@ -220,8 +271,8 @@ class TestDualPotential:
 
     def test_strong_duality_and_feasibility(self, rng):
         for trial in range(25):
-            # alternate between general masses (flow path) and unit masses
-            # (assignment fast path): strong duality must hold for both
+            # alternate between general masses and unit masses: strong
+            # duality must hold for both
             if trial % 2:
                 f = random_unit_dipole_measure(rng, max_pairs=15)
             else:

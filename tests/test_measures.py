@@ -297,6 +297,39 @@ class TestSegmentValidation:
         assert nu.n_segments == 2
 
     @staticmethod
+    def tilted_pair(p, d, t, signs):
+        """Segments [t0, t2] and [t1, t3] along p + t d, overlapping on
+        [t1, t2], with densities signs[k] * d."""
+        t0, t1, t2, t3 = t
+        return [
+            (p + t0 * d, p + t2 * d, signs[0] * d),
+            (p + t1 * d, p + t3 * d, signs[1] * d),
+        ]
+
+    def test_opposed_overlap_on_tilted_line_rejected(self):
+        # the unit directions differ in the last bit, so 1 - cos^2 is one
+        # rounding step above 0; total variation would count [0.4, 0.6] twice
+        d = np.array([np.cos(0.7), np.sin(0.7)])
+        segments = self.tilted_pair(np.zeros(2), d, (0.05, 0.4, 0.6, 0.95), (1.0, -1.0))
+        with pytest.raises(ValidationError, match="^segments 0 and 1 overlap"):
+            StructuredVectorMeasure.build(2, segments=segments)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tilted_collinear_pairs(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(200):
+            p = rng.normal(size=dim) * rng.choice([1.0, 10.0])
+            d = rng.normal(size=dim)
+            d /= vec_norm(d)
+            t = np.sort(rng.uniform(-2.0, 2.0, size=4))
+            opposed = self.tilted_pair(p, d, t, (1.0, -1.0))
+            with pytest.raises(ValidationError, match="^segments 0 and 1 overlap"):
+                StructuredVectorMeasure.build(dim, segments=opposed)
+            aligned = self.tilted_pair(p, d, t, (1.0, 1.0))
+            nu = StructuredVectorMeasure.build(dim, segments=aligned)
+            assert abs(nu.total_variation - (t[2] - t[0] + t[3] - t[1])) <= 1e-12 * 10.0
+
+    @staticmethod
     def first_overlap_reference(segments, scale):
         """The all-pairs scalar scan: first (i, j) in row-major order."""
         segments = [[np.asarray(x, dtype=float) for x in seg] for seg in segments]
