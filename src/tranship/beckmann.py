@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .geom import Domain, Grid, dists
 from .measures import SignedAtomMeasure, StructuredVectorMeasure
-from .mincostflow import solve_min_cost_flow
+from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow
 
 __all__ = [
     "FlowNetwork",
@@ -116,7 +116,8 @@ def grid_network(
 
     Needs at least 2 cells along some axis (a single cell has no edges);
     degenerate axes with one cell are allowed so 1-d problems embed naturally.
-    Binning ties at cell boundaries go to the lower-index cell.
+    Binning ties at cell boundaries go to the lower-index cell.  A cell whose
+    atoms cancel to within the flow solver's zero threshold gets supply 0.
     """
     resolution = tuple(int(r) for r in resolution)
     if len(resolution) != domain.dim:
@@ -127,11 +128,9 @@ def grid_network(
         raise ValidationError("grid network needs at least 2 cells along some axis")
     grid = Grid(domain, resolution)
     centers = grid.centers()
-    supply = np.zeros(grid.n_cells)
-    for p, m in zip(f.points, f.masses):
-        if not domain.contains(p):
-            raise ValidationError(f"atom at {p.tolist()} lies outside the grid domain")
-        supply[grid.flat_index(grid.cell_index(p))] += m
+    domain.require_inside(f.points, "atom at {} lies outside the grid domain")
+    supply = np.bincount(grid.cell_indices(f.points), weights=f.masses, minlength=grid.n_cells)
+    supply[np.abs(supply) <= ZERO_SUPPLY_RTOL * f.mass_scale] = 0.0
     # every cell (C order) against every offset (in _neighbor_offsets order)
     shape = np.asarray(resolution)
     cells = np.indices(resolution).reshape(domain.dim, -1).T

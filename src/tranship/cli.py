@@ -146,9 +146,7 @@ def _cmd_dual(doc: ProblemDocument, args, report: dict) -> int:
     potential, value = mn.dual_potential(f)
     report["values"]["value"] = value
     report["values"]["lip_bound"] = potential.lip_bound
-    report["certificates"]["potential"] = _point_list(
-        f.points, [potential.values[tuple(p)] for p in f.points]
-    )
+    report["certificates"]["potential"] = _point_list(f.points, potential.values)
     return EXIT_OK
 
 
@@ -185,10 +183,10 @@ def _cmd_beckmann(doc: ProblemDocument, args, report: dict) -> int:
 
 
 def _flow_balance_residual(net, flow) -> float:
-    balance = -net.supply.copy()
-    for (i, j), v in zip(net.edges, flow.edge_flows):
-        balance[i] += v
-        balance[j] -= v
+    # edge by edge, +v at its first node then -v at its second, onto -supply
+    balance = -net.supply
+    v = flow.edge_flows
+    np.add.at(balance, net.edges.ravel(), np.column_stack([v, -v]).ravel())
     return float(np.max(np.abs(balance))) if balance.size else 0.0
 
 

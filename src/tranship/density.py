@@ -1,9 +1,11 @@
 """Transport densities on regular grids: rasterization and export.
 
 The transport density of a matching is the superposition of arc-length
-measures along its transport segments; rasterization clips each segment
+measures along its transport segments; rasterization clips the segments
 against the grid analytically, so total mass equals transport cost up to
-roundoff.
+roundoff.  One :func:`~tranship.geom.segment_cell_intervals` call cuts all
+segments and one ``np.bincount`` adds the pieces in segment order; points go
+through :meth:`~tranship.geom.Grid.cell_indices`, the one binning rule.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geom import Grid, dist, segment_cell_intervals, vec_norm
+from .geom import Grid, dists, segment_cell_intervals, vec_norm
 from .matchnorm import Matching
 from .measures import StructuredVectorMeasure
 
@@ -46,10 +48,11 @@ class GridDensity:
         return self.masses.reshape(self.grid.shape)
 
 
-def _deposit_segment(acc: np.ndarray, grid: Grid, a, b, mass: float):
-    """Spread `mass` over the cells crossed by [a, b], by length fraction."""
-    flat, frac = segment_cell_intervals(grid, a, b)
-    np.add.at(acc, flat, mass * frac)
+def _segment_masses(grid: Grid, a, b, masses) -> np.ndarray:
+    """Spread masses[i] over the cells crossed by [a[i], b[i]], by length
+    fraction, adding the pieces in segment order."""
+    segment, flat, frac = segment_cell_intervals(grid, a, b)
+    return np.bincount(flat, weights=masses[segment] * frac, minlength=grid.n_cells)
 
 
 def rasterize_plan(matching: Matching, grid: Grid) -> GridDensity:
@@ -57,10 +60,10 @@ def rasterize_plan(matching: Matching, grid: Grid) -> GridDensity:
 
     The total equals the matching cost to roundoff.
     """
-    acc = np.zeros(grid.n_cells)
-    for source, target, mass in matching.edges:
-        _deposit_segment(acc, grid, source, target, mass * dist(source, target))
-    return GridDensity(grid=grid, masses=acc)
+    edges = matching.edges
+    ends = np.array([(s, t) for s, t, _ in edges], dtype=float).reshape(len(edges), 2, grid.dim)
+    masses = np.array([m for _, _, m in edges], dtype=float) * dists(ends[:, 0], ends[:, 1])
+    return GridDensity(grid=grid, masses=_segment_masses(grid, ends[:, 0], ends[:, 1], masses))
 
 
 def rasterize_vector_measure(nu: StructuredVectorMeasure, grid: Grid) -> GridDensity:
@@ -76,14 +79,12 @@ def rasterize_vector_measure(nu: StructuredVectorMeasure, grid: Grid) -> GridDen
         src = nu.cells.grid
         if np.any(src.cell_size < grid.cell_size - 1e-12 * grid.cell_size):
             raise ValidationError("cell field is finer than the target grid")
-    acc = np.zeros(grid.n_cells)
-    for a, b, density, length in zip(nu.seg_a, nu.seg_b, nu.seg_density, nu.segment_lengths):
-        _deposit_segment(acc, grid, a, b, vec_norm(density) * length)
-    tail = np.zeros(grid.n_cells)
-    for point, vector in zip(nu.atom_points, nu.atom_vectors):
-        if not grid.domain.contains(point):
-            raise ValidationError(f"vector atom at {point.tolist()} outside the grid domain")
-        tail[grid.flat_index(grid.cell_index(point))] += vec_norm(vector)
+    # |density| and |vector| per row: distances from the origin
+    masses = dists(nu.seg_density, 0.0) * nu.segment_lengths
+    acc = _segment_masses(grid, nu.seg_a, nu.seg_b, masses)
+    grid.domain.require_inside(nu.atom_points, "vector atom at {} outside the grid domain")
+    atom_cells = grid.cell_indices(nu.atom_points)
+    tail = np.bincount(atom_cells, weights=dists(nu.atom_vectors, 0.0), minlength=grid.n_cells)
     if nu.cells is not None:
         _resample_cells(tail, nu, grid)
     return GridDensity(grid=grid, masses=acc + tail)

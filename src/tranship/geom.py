@@ -5,6 +5,9 @@ truth: :func:`dist` is its scalar case, and all-pairs or row-wise distances
 are the same kernel broadcast over leading axes.  Values compared for exact
 equality elsewhere (oracle tests, conservation checks) are therefore
 computed bit for bit the same way, whichever shape asked for them.
+Likewise :meth:`Grid.cell_indices` is the one binning rule (a point on a
+cell face goes to the lower-index cell); :meth:`Grid.cell_index` and
+:func:`segment_cell_intervals` bin through it.
 """
 
 from __future__ import annotations
@@ -92,6 +95,13 @@ class Domain:
         pad = tol * np.maximum(self.extent, 1.0)
         return bool(np.all(p >= self.lower - pad) and np.all(p <= self.upper + pad))
 
+    def require_inside(self, points, message: str):
+        """Raise ValidationError(message.format(p)) for the first row p outside the box."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        outside = ~np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
+        if np.any(outside):
+            raise ValidationError(message.format(pts[np.argmax(outside)].tolist()))
+
     @staticmethod
     def from_geometry(points, pad: float = 0.05) -> "Domain":
         """Bounding box of `points`, padded by `pad` of the extent per side."""
@@ -137,18 +147,22 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_size))
 
-    def cell_index(self, point) -> tuple:
-        """Multi-index of the cell containing `point`; boundary ties go to the
-        lower-index cell."""
-        p = np.asarray(point, dtype=float)
-        if not self.domain.contains(p):
-            raise ValidationError(f"point {p.tolist()} lies outside the grid domain")
-        s = (p - self.domain.lower) / self.cell_size
+    def cell_indices(self, points) -> np.ndarray:
+        """Flat (C-order) index of the cell containing each point (last axis
+        of `points`); a point on a cell face goes to the lower-index cell.
+        Points outside the domain are clipped to the nearest cell."""
+        s = (np.asarray(points, dtype=float) - self.domain.lower) / self.cell_size
         idx = np.floor(s).astype(int)
         on_lower_face = (s == idx) & (idx > 0)
         idx[on_lower_face] -= 1
         np.clip(idx, 0, np.asarray(self.shape) - 1, out=idx)
-        return tuple(int(i) for i in idx)
+        return np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), self.shape)
+
+    def cell_index(self, point) -> tuple:
+        """Multi-index of the cell containing `point`: the scalar case of
+        :meth:`cell_indices`."""
+        self.domain.require_inside(point, "point {} lies outside the grid domain")
+        return tuple(int(i) for i in np.unravel_index(self.cell_indices(point), self.shape))
 
     def flat_index(self, multi_index) -> int:
         return int(np.ravel_multi_index(multi_index, self.shape))
@@ -188,41 +202,30 @@ def segment_quadrature(a, b, n: int = 8):
 
 
 def segment_cell_intervals(grid: Grid, a, b):
-    """Split segment [a, b] by the grid planes.
+    """Split the segments [a[i], b[i]] ((n, dim) arrays) by the grid planes.
 
-    Returns (flat_cell_indices, fractions): the parameter-length fraction of
-    the segment inside each crossed cell.  Fractions sum to 1 up to roundoff;
-    zero-length slivers are dropped.  A segment running along a cell face is
-    credited to the lower-index cell, matching :meth:`Grid.cell_index`.
+    Returns (segment, flat_cell, fraction) per piece, in segment order and
+    from a to b: the parameter-length fraction of that segment inside that
+    cell.  A segment's fractions sum to 1 up to roundoff; zero-length pieces
+    are dropped.  Pieces are binned by midpoint with :meth:`Grid.cell_indices`,
+    so one running along a cell face goes to the lower-index cell.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    for p in (a, b):
-        if not grid.domain.contains(p):
-            raise ValidationError(f"segment endpoint {p.tolist()} outside grid domain")
+    grid.domain.require_inside(np.stack([a, b], axis=1), "segment endpoint {} outside grid domain")
     delta = b - a
-    cuts = [np.array([0.0, 1.0])]
-    lower = grid.domain.lower
-    cell = grid.cell_size
-    for k in range(grid.dim):
-        if delta[k] == 0.0:
-            continue
-        planes = lower[k] + cell[k] * np.arange(1, grid.shape[k])
-        t = (planes - a[k]) / delta[k]
-        cuts.append(t[(t > 0.0) & (t < 1.0)])
-    ts = np.unique(np.concatenate(cuts))
-    ts = ts[(ts >= 0.0) & (ts <= 1.0)]
-    frac = np.diff(ts)
+    # one column per interior grid plane, axis by axis
+    axis = np.repeat(np.arange(grid.dim), np.asarray(grid.shape) - 1)
+    step = np.concatenate([np.arange(1, s) for s in grid.shape])
+    planes = grid.domain.lower[axis] + grid.cell_size[axis] * step
+    moving = delta[:, axis] != 0.0
+    t = np.divide(planes - a[:, axis], delta[:, axis], out=np.ones(moving.shape), where=moving)
+    # cuts outside (0, 1) become 1.0: sorted, they add only zero-length pieces
+    t[(t <= 0.0) | (t >= 1.0)] = 1.0
+    ts = np.sort(np.column_stack([np.zeros(len(a)), t, np.ones(len(a))]), axis=1)
+    frac = np.diff(ts, axis=1)
     keep = frac > 0.0
-    frac = frac[keep]
-    mids = a[None, :] + (0.5 * (ts[:-1] + ts[1:]))[keep][:, None] * delta[None, :]
-    if frac.size == 0:
-        # degenerate segment: all mass in the containing cell
-        return np.array([grid.flat_index(grid.cell_index(a))]), np.array([1.0])
-    s = (mids - lower[None, :]) / cell[None, :]
-    idx = np.floor(s).astype(int)
-    on_face = (s == idx) & (idx > 0)
-    idx[on_face] -= 1
-    np.clip(idx, 0, np.asarray(grid.shape) - 1, out=idx)
-    flat = np.ravel_multi_index(idx.T, grid.shape)
-    return flat, frac
+    segment = np.nonzero(keep)[0]
+    mid_t = (0.5 * (ts[:, :-1] + ts[:, 1:]))[keep]
+    mids = a[segment] + mid_t[:, None] * delta[segment]
+    return segment, grid.cell_indices(mids), frac[keep]

@@ -77,11 +77,8 @@ class Matching:
 class Potential:
     """Dual potential on the atom support with a certified Lipschitz constant."""
 
-    values: dict  # tuple(point) -> float
+    values: np.ndarray  # read-only, aligned with the measure's points
     lip_bound: float
-
-    def __call__(self, point) -> float:
-        return self.values[tuple(np.asarray(point, dtype=float))]
 
 
 def _matching_cost(edges) -> float:
@@ -170,7 +167,7 @@ def dual_potential(f: SignedAtomMeasure):
     f.require_balanced()
     n = len(f)
     if n == 0:
-        return Potential(values={}, lip_bound=0.0), 0.0
+        return Potential(values=_read_only(np.zeros(0)), lip_bound=0.0), 0.0
     points = f.points
     a_ub, b_ub = _pair_constraints(points)
     # pin u[0] = 0: the balanced objective is invariant under constant shifts
@@ -191,8 +188,7 @@ def dual_potential(f: SignedAtomMeasure):
     d = dists(points[i], points[j])
     apart = d > 0.0
     lip = float(np.max(np.abs(u[i] - u[j])[apart] / d[apart], initial=0.0))
-    values = {tuple(p): float(ui) for p, ui in zip(points, u)}
-    return Potential(values=values, lip_bound=lip), value
+    return Potential(values=_read_only(u), lip_bound=lip), value
 
 
 def flat_norm(f: SignedAtomMeasure, convention: str = "max") -> float:

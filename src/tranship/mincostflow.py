@@ -37,6 +37,8 @@ from .errors import InfeasibleFlowError, ValidationError, VerificationError
 __all__ = ["FlowSolution", "solve_min_cost_flow"]
 
 _MAX_AUGMENTATIONS_FACTOR = 16
+# supply or excess at most this times the supplies' total magnitude counts as 0
+ZERO_SUPPLY_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
 
     m = arcs.shape[0]
     scale = float(np.sum(np.abs(supply)))
-    eps = 1e-13 * max(scale, 1.0)
+    eps = ZERO_SUPPLY_RTOL * max(scale, 1.0)
 
     # Only the cheapest arc of each ordered pair carries flow.  The residual
     # graph lives on the fixed sorted pattern `keys` of those pairs and their

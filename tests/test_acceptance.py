@@ -168,16 +168,16 @@ def test_07_slackness_and_feasibility():
         # matching solution against the LP potential
         matching = minimal_connection(f)
         potential, _ = dual_potential(f)
+        u = potential.values
+        index = {tuple(p): i for i, p in enumerate(f.points)}
         for s, t, _m in matching.edges:
-            drop = potential.values[tuple(s)] - potential.values[tuple(t)]
+            drop = u[index[tuple(s)]] - u[index[tuple(t)]]
             worst_tight = max(worst_tight, abs(drop - dist(s, t)))
         pts = f.points
         for i in range(len(pts)):
             for j in range(len(pts)):
                 if i != j:
-                    gap = dist(pts[i], pts[j]) - (
-                        potential.values[tuple(pts[i])] - potential.values[tuple(pts[j])]
-                    )
+                    gap = dist(pts[i], pts[j]) - (u[i] - u[j])
                     worst_slack = max(worst_slack, -gap)
         # flow solution against its own potentials
         net = complete_network(f)

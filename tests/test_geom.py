@@ -63,7 +63,8 @@ def test_clipping_fractions_sum_to_one(rng):
     for _ in range(100):
         a = rng.uniform(0, 1, size=2)
         b = rng.uniform(0, 1, size=2)
-        flat, frac = segment_cell_intervals(grid, a, b)
+        segment, flat, frac = segment_cell_intervals(grid, a[None], b[None])
+        assert np.all(segment == 0)
         assert abs(frac.sum() - 1.0) <= 1e-12
         assert np.all(frac > 0)
         assert np.all((flat >= 0) & (flat < grid.n_cells))
@@ -71,7 +72,7 @@ def test_clipping_fractions_sum_to_one(rng):
 
 def test_clipping_on_a_cell_face_goes_to_lower_cell():
     grid = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (2, 2))
-    flat, frac = segment_cell_intervals(grid, [0.1, 0.5], [0.4, 0.5])
+    _, flat, frac = segment_cell_intervals(grid, [[0.1, 0.5]], [[0.4, 0.5]])
     # runs along the j=0/1 face: assigned to j=0
     assert flat.tolist() == [grid.flat_index((0, 0))]
     assert abs(frac.sum() - 1.0) <= 1e-15
@@ -80,7 +81,7 @@ def test_clipping_on_a_cell_face_goes_to_lower_cell():
 def test_clipping_rejects_outside_endpoint():
     grid = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (2, 2))
     with pytest.raises(ValidationError):
-        segment_cell_intervals(grid, [0.5, 0.5], [1.5, 0.5])
+        segment_cell_intervals(grid, [[0.5, 0.5]], [[1.5, 0.5]])
 
 
 def _reference_dist(a, b) -> float:

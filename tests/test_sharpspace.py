@@ -289,14 +289,12 @@ class TestDualAttainmentAndContinuity:
         for _ in range(10):
             f = random_balanced_measure(rng, max_pairs=6)
             pot, value = dual_potential(f)
-            achieved = float(
-                np.sum(f.masses * np.array([pot.values[tuple(p)] for p in f.points]))
-            )
+            achieved = float(np.sum(f.masses * pot.values))
             assert abs(achieved - value) <= 1e-12 * max(1.0, abs(value))
             for i, p in enumerate(f.points):
-                for q in f.points[i + 1 :]:
-                    assert abs(pot.values[tuple(p)] - pot.values[tuple(q)]) <= (
-                        euclid(p, q) + 1e-9
+                for j in range(i + 1, len(f.points)):
+                    assert abs(pot.values[i] - pot.values[j]) <= (
+                        euclid(p, f.points[j]) + 1e-9
                     )
 
     def test_pairing_vanishes_on_uniformly_small_bounded_lipschitz_sequences(self):
