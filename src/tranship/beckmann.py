@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geom import Domain, Grid, dists
-from .measures import SignedAtomMeasure, StructuredVectorMeasure
+from .measures import BALANCE_RTOL, SignedAtomMeasure, StructuredVectorMeasure
 from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow
 
 __all__ = [
@@ -53,7 +53,7 @@ class FlowNetwork:
         if edges.size and (edges.min() < 0 or edges.max() >= pts.shape[0]):
             raise ValidationError("edge endpoints out of range")
         scale = float(np.sum(np.abs(supply)))
-        if abs(float(np.sum(supply))) > 1e-9 * max(scale, 1e-300):
+        if abs(float(np.sum(supply))) > BALANCE_RTOL * max(scale, 1e-300):
             raise ValidationError(
                 f"network supply must balance, total is {float(np.sum(supply))!r}"
             )

@@ -92,8 +92,10 @@ def rasterize_vector_measure(nu: StructuredVectorMeasure, grid: Grid) -> GridDen
 
 def _resample_cells(acc: np.ndarray, nu: StructuredVectorMeasure, grid: Grid):
     src = nu.cells.grid
-    if not (grid.domain.contains(src.domain.lower) and grid.domain.contains(src.domain.upper)):
-        raise ValidationError("cell field extends outside the target grid domain")
+    grid.domain.require_inside(
+        np.vstack([src.domain.lower, src.domain.upper]),
+        "cell field extends outside the target grid domain",
+    )
     for flat in range(src.n_cells):
         vector = nu.cells.vectors[flat]
         norm = vec_norm(vector)

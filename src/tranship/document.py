@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .funcs import Coordinate, Polynomial, RadialBump, polynomial_family
-from .genplan import GeneralizedPlan, PlanAtom, validate_plan_domain
+from .genplan import GeneralizedPlan, PlanAtom
 from .geom import Domain, Grid
 from .measures import (
     CellField,
@@ -306,14 +306,8 @@ def parse_document(data: dict) -> ProblemDocument:
         dim, atoms=vector_atoms, segments=segments, cells=cell_field
     )
 
-    for pts in geometry:
-        for p in pts:
-            if not domain.contains(p, tol=1e-12):
-                raise ValidationError(
-                    f"geometry point {np.asarray(p).tolist()} lies outside the domain"
-                )
-    if plan is not None:
-        validate_plan_domain(plan, domain)
+    if geometry:
+        domain.require_inside(np.vstack(geometry), "geometry point {} lies outside the domain")
 
     test_functions = None
     if "test_functions" in data:

@@ -12,12 +12,12 @@ class ValidationError(TranshipError):
 class UnbalancedMeasureError(ValidationError):
     """A balanced measure was required but the total mass is nonzero."""
 
-    def __init__(self, total, scale):
+    def __init__(self, total, scale, rtol):
         self.total = total
         self.scale = scale
         super().__init__(
             f"measure is not balanced: total mass {total!r} "
-            f"exceeds tolerance {1e-9 * scale!r}"
+            f"exceeds tolerance {rtol * scale!r}"
         )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .funcs import TestFunction
-from .geom import Domain, as_point, dist, segment_quadrature, vec_norm
+from .geom import as_point, dist, segment_quadrature, vec_norm
 from .matchnorm import Matching
 from .measures import Distribution, StructuredVectorMeasure, pair
 
@@ -29,7 +29,6 @@ __all__ = [
     "plan_from_vector_measure",
     "to_vector_measure",
     "split",
-    "validate_plan_domain",
 ]
 
 UNIT_DIR_TOL = 1e-12
@@ -203,10 +202,3 @@ def split(plan: GeneralizedPlan):
     flux = tuple(a for a in plan.atoms if a.t == 0.0)
     rays = tuple(a for a in plan.atoms if a.t != 0.0)
     return GeneralizedPlan(flux), GeneralizedPlan(rays)
-
-
-def validate_plan_domain(plan: GeneralizedPlan, domain: Domain, tol: float = 1e-9):
-    """Check every atom's base and head lie inside the domain."""
-    for k, atom in enumerate(plan.atoms):
-        if not domain.contains(atom.base, tol) or not domain.contains(atom.head, tol):
-            raise ValidationError(f"plan atom {k} leaves the domain")

@@ -7,7 +7,12 @@ equality elsewhere (oracle tests, conservation checks) are therefore
 computed bit for bit the same way, whichever shape asked for them.
 Likewise :meth:`Grid.cell_indices` is the one binning rule (a point on a
 cell face goes to the lower-index cell); :meth:`Grid.cell_index` and
-:func:`segment_cell_intervals` bin through it.
+:func:`segment_cell_intervals` bin through it.  Containment has one rule
+too: a point lies in a :class:`Domain` when it is inside the box padded by
+``GEOMETRY_RTOL * max(extent, 1)`` per axis.  Documents, grids, rasterizers
+and cell-field resampling all check through :meth:`Domain.require_inside`
+(:meth:`Domain.contains` is its boolean form), so whatever a document
+accepts a grid accepts too, binned into the boundary cell.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ import numpy as np
 
 from .errors import ValidationError
 
+# geometry may lie this far outside the domain, relative to max(extent, 1)
+# per axis, and still count as inside; grids bin such points into the
+# boundary cell
+GEOMETRY_RTOL = 1e-12
+
 __all__ = [
+    "GEOMETRY_RTOL",
     "as_point",
     "dist",
     "dists",
@@ -90,17 +101,24 @@ class Domain:
     def extent(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, point, tol: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=float)
-        pad = tol * np.maximum(self.extent, 1.0)
-        return bool(np.all(p >= self.lower - pad) and np.all(p <= self.upper + pad))
+    def _inside(self, points) -> np.ndarray:
+        """Row mask of `points` as an (n, dim) array: inside the box padded by
+        ``GEOMETRY_RTOL * max(extent, 1)`` per axis."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        pad = GEOMETRY_RTOL * np.maximum(self.extent, 1.0)
+        return np.all((pts >= self.lower - pad) & (pts <= self.upper + pad), axis=1)
+
+    def contains(self, points) -> bool:
+        """True when every point (last axis of `points`) lies in the domain."""
+        return bool(np.all(self._inside(points)))
 
     def require_inside(self, points, message: str):
-        """Raise ValidationError(message.format(p)) for the first row p outside the box."""
-        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        outside = ~np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
+        """Raise ValidationError(message.format(p)) for the first point p
+        outside the domain."""
+        outside = ~self._inside(points)
         if np.any(outside):
-            raise ValidationError(message.format(pts[np.argmax(outside)].tolist()))
+            p = np.asarray(points, dtype=float).reshape(-1, self.dim)[np.argmax(outside)]
+            raise ValidationError(message.format(p.tolist()))
 
     @staticmethod
     def from_geometry(points, pad: float = 0.05) -> "Domain":
@@ -166,10 +184,6 @@ class Grid:
 
     def flat_index(self, multi_index) -> int:
         return int(np.ravel_multi_index(multi_index, self.shape))
-
-    def center(self, multi_index) -> np.ndarray:
-        idx = np.asarray(multi_index, dtype=float)
-        return self.domain.lower + (idx + 0.5) * self.cell_size
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape (n_cells, dim), C order."""

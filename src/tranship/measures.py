@@ -31,6 +31,7 @@ __all__ = [
     "Distribution",
     "NotAMeasure",
     "pair",
+    "segment_projection",
     "divergence_as_measure",
     "from_dipoles",
     "QuadratureDegreeWarning",
@@ -49,7 +50,7 @@ class QuadratureDegreeWarning(UserWarning):
 
 
 def _merge_atoms(points, masses):
-    """Identify atoms closer than 1e-9 of the instance diameter; drop zeros.
+    """Identify atoms within MERGE_RTOL of the instance diameter; drop zeros.
 
     First fit: an atom joins the first kept atom within the tolerance, and
     masses are added in input order.
@@ -133,7 +134,7 @@ class SignedAtomMeasure:
 
     def require_balanced(self):
         if not self.balanced:
-            raise UnbalancedMeasureError(self.total, self.mass_scale)
+            raise UnbalancedMeasureError(self.total, self.mass_scale, BALANCE_RTOL)
 
     def scaled(self, factor: float) -> "SignedAtomMeasure":
         if factor == 0.0:
@@ -398,12 +399,6 @@ class StructuredVectorMeasure:
             validate=False,
         )
 
-    def geometry_points(self) -> np.ndarray:
-        parts = [self.atom_points, self.seg_a, self.seg_b]
-        if self.cells is not None:
-            parts.append(np.vstack([self.cells.grid.domain.lower, self.cells.grid.domain.upper]))
-        return np.vstack(parts) if any(p.size for p in parts) else np.zeros((0, self.dim))
-
 
 @dataclass(frozen=True)
 class NotAMeasure:
@@ -442,10 +437,6 @@ class Distribution:
     @staticmethod
     def from_divergence(nu: StructuredVectorMeasure) -> "Distribution":
         return Distribution(SignedAtomMeasure.empty(nu.dim), nu)
-
-    def geometry_points(self) -> np.ndarray:
-        parts = [self.measure_part.points, self.divergence_part.geometry_points()]
-        return np.vstack([p for p in parts if p.size]) if any(p.size for p in parts) else np.zeros((0, self.dim))
 
 
 def _cell_quadrature(grid: Grid, multi_index, n: int = 4):
@@ -521,6 +512,26 @@ def pair(f: Distribution, func: TestFunction) -> float:
     return total
 
 
+def segment_projection(nu: StructuredVectorMeasure):
+    """Project every segment density onto its segment's direction.
+
+    Returns ``(tangent, theta, normal, parallel)``: the unit tangents
+    ``(b - a) / length`` (rows), the tangential densities ``theta = density .
+    tangent``, the normal remainders ``density - theta * tangent`` and the
+    row mask of densities parallel to their segment, those whose normal
+    remainder is at most ``PARALLEL_RTOL`` times their norm.  This is the one
+    parallel test: :func:`divergence_as_measure` needs every segment parallel,
+    and :func:`~tranship.sharpspace.tangential_split` snaps parallel rows to
+    purely tangential.
+    """
+    tangent = (nu.seg_b - nu.seg_a) / nu.segment_lengths[:, None]
+    theta = np.vecdot(nu.seg_density, tangent)
+    normal = nu.seg_density - theta[:, None] * tangent
+    # |normal| and |density| per row: distances from the origin
+    parallel = dists(normal, 0.0) <= PARALLEL_RTOL * np.maximum(dists(nu.seg_density, 0.0), 1e-300)
+    return tangent, theta, normal, parallel
+
+
 def divergence_as_measure(
     nu: StructuredVectorMeasure,
 ) -> Union[SignedAtomMeasure, NotAMeasure]:
@@ -529,28 +540,22 @@ def divergence_as_measure(
     A segment [a, b] whose density is theta times the unit tangent (pointing
     a -> b) contributes theta*(delta_b - delta_a), consistently with the
     pairing convention <-div nu, phi> = integral grad(phi) . d(nu).  Atom
-    components and non-tangential segment densities make the divergence a
-    genuine first-order distribution, reported as :class:`NotAMeasure`.
+    components and non-tangential segment densities (see
+    :func:`segment_projection`) make the divergence a genuine first-order
+    distribution, reported as :class:`NotAMeasure`.
     """
     if nu.cells is not None:
         raise ValidationError("divergence_as_measure does not accept cell fields")
     if nu.n_atoms:
         return NotAMeasure("vector atoms have tangent space {0}: -div is first order")
-    atoms = []
-    for a, b, density, length in zip(nu.seg_a, nu.seg_b, nu.seg_density, nu.segment_lengths):
-        tangent = (b - a) / length
-        theta = float(np.dot(density, tangent))
-        perp = density - theta * tangent
-        dnorm = vec_norm(density)
-        if vec_norm(perp) > PARALLEL_RTOL * max(dnorm, 1e-300):
-            return NotAMeasure(
-                "segment density has a normal component: -div is first order"
-            )
-        if theta == 0.0:
-            continue
-        atoms.append((b, theta))
-        atoms.append((a, -theta))
-    return SignedAtomMeasure.from_atoms(atoms, dim=nu.dim)
+    _tangent, theta, _normal, parallel = segment_projection(nu)
+    if not np.all(parallel):
+        return NotAMeasure("segment density has a normal component: -div is first order")
+    keep = theta != 0.0
+    # atoms (b, theta), (a, -theta) segment after segment
+    points = np.stack([nu.seg_b[keep], nu.seg_a[keep]], axis=1).reshape(-1, nu.dim)
+    masses = np.stack([theta[keep], -theta[keep]], axis=1).ravel()
+    return SignedAtomMeasure(points, masses)
 
 
 def from_dipoles(chain: DipoleChain, truncation_eps: float = 0.0):

@@ -27,7 +27,9 @@ from .measures import (
     NotAMeasure,
     SignedAtomMeasure,
     StructuredVectorMeasure,
+    divergence_as_measure,
     pair,
+    segment_projection,
 )
 
 __all__ = [
@@ -48,17 +50,18 @@ __all__ = [
     "tangential_cycle",
 ]
 
-PARALLEL_SNAP_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TangentialSplit:
     """Componentwise split nu = tangential + normal.
 
-    Segment densities are projected onto / against the segment direction
-    (densities within 1e-12 relative of parallel are snapped, so purely
-    tangential inputs produce an exactly zero normal mass); atoms are
-    entirely normal, volume cells entirely tangential.
+    Segment densities are split by :func:`~tranship.measures.segment_projection`
+    into their projection onto the segment direction and the remainder; a
+    density parallel to its segment there (normal remainder within
+    ``PARALLEL_RTOL`` of its norm) is kept whole as tangential, so purely
+    tangential inputs produce an exactly zero normal mass.  Atoms are
+    entirely normal, volume cells entirely tangential.  ``normal_mass`` is
+    the total variation of the normal part.
     """
 
     tangential: StructuredVectorMeasure
@@ -67,34 +70,18 @@ class TangentialSplit:
 
 
 def tangential_split(nu: StructuredVectorMeasure) -> TangentialSplit:
-    parallel = []
-    perpendicular = []
-    for a, b, density, length in zip(nu.seg_a, nu.seg_b, nu.seg_density, nu.segment_lengths):
-        tangent = (b - a) / length
-        theta = float(np.dot(density, tangent))
-        d_par = theta * tangent
-        d_perp = density - d_par
-        if vec_norm(d_perp) <= PARALLEL_SNAP_RTOL * max(vec_norm(density), 1e-300):
-            d_par = density
-            d_perp = np.zeros(nu.dim)
-        parallel.append(d_par)
-        perpendicular.append(d_perp)
-    par_arr = np.array(parallel).reshape(-1, nu.dim)
-    perp_arr = np.array(perpendicular).reshape(-1, nu.dim)
+    tangent, theta, normal_density, parallel = segment_projection(nu)
+    snap = parallel[:, None]
     zeros = np.zeros((0, nu.dim))
     tangential = StructuredVectorMeasure(
-        nu.dim, zeros, zeros, nu.seg_a, nu.seg_b, par_arr, nu.cells, validate=False
+        nu.dim, zeros, zeros, nu.seg_a, nu.seg_b,
+        np.where(snap, nu.seg_density, theta[:, None] * tangent), nu.cells, validate=False,
     )
     normal = StructuredVectorMeasure(
-        nu.dim, nu.atom_points, nu.atom_vectors, nu.seg_a, nu.seg_b, perp_arr,
-        None, validate=False,
+        nu.dim, nu.atom_points, nu.atom_vectors, nu.seg_a, nu.seg_b,
+        np.where(snap, 0.0, normal_density), None, validate=False,
     )
-    normal_mass = 0.0
-    for vector in nu.atom_vectors:
-        normal_mass += vec_norm(vector)
-    for d_perp, length in zip(perp_arr, nu.segment_lengths):
-        normal_mass += vec_norm(d_perp) * length
-    return TangentialSplit(tangential=tangential, normal=normal, normal_mass=normal_mass)
+    return TangentialSplit(tangential=tangential, normal=normal, normal_mass=normal.total_variation)
 
 
 def distance_to_sharp(nu: StructuredVectorMeasure) -> float:
@@ -261,10 +248,10 @@ def decompose(nu: StructuredVectorMeasure, certify: bool = True) -> Decompositio
 def _try_certify(parts: TangentialSplit):
     if parts.tangential.cells is not None:
         return None, None
-    if np.any([vec_norm(d) * l > 0 for d, l in zip(parts.normal.seg_density, parts.normal.segment_lengths)]):
+    if np.any(dists(parts.normal.seg_density, 0.0) * parts.normal.segment_lengths > 0):
         return None, None  # cone witnesses only cover atomic normal parts
-    converted = _tangential_divergence(parts.tangential)
-    if converted is None:
+    converted = divergence_as_measure(parts.tangential)
+    if isinstance(converted, NotAMeasure):
         return None, None
     matching = minimal_connection(converted)
     if len(converted):
@@ -287,15 +274,6 @@ def _try_certify(parts: TangentialSplit):
     witness_value = pair(f, witness)
     claimed = matching.cost + parts.normal_mass
     return witness_value, claimed
-
-
-def _tangential_divergence(nu_t: StructuredVectorMeasure):
-    from .measures import divergence_as_measure
-
-    result = divergence_as_measure(nu_t)
-    if isinstance(result, NotAMeasure):
-        return None
-    return result
 
 
 def _separation_radius(support_points, normal_atoms) -> float:

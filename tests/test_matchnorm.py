@@ -185,6 +185,22 @@ class TestBruteForceProperty:
         assert minimal_connection(f).cost == brute_force_connection(f)
 
 
+class TestLatticeOracle:
+    def test_tied_matchings_stay_within_two_ulps_above_the_oracle(self):
+        # lattice points scaled by 0.1 or 0.37 tie optimal matchings whose
+        # rounded costs differ; the solver may return any of them, never one
+        # below the oracle's minimum and at most 2 ulps above it
+        rng = np.random.default_rng(606)
+        lattice = np.indices((6, 6)).reshape(2, -1).T.astype(float)
+        for _ in range(1000):
+            k = int(rng.integers(1, 8))
+            pts = lattice[rng.choice(36, size=2 * k, replace=False)] * rng.choice([0.1, 0.37])
+            f = SignedAtomMeasure(pts, np.concatenate([np.ones(k), -np.ones(k)]))
+            oracle = brute_force_connection(f)
+            gap = minimal_connection(f).cost - oracle
+            assert 0.0 <= gap <= 2 * np.spacing(oracle)
+
+
 class TestBruteForce:
     def test_single_dipole(self, unit_dipole):
         assert brute_force_connection(unit_dipole) == 1.0
