@@ -5,11 +5,12 @@ writes each workload's documents from ``perfbench/workloads.py`` into a
 temporary directory, runs every job in-process through ``tranship.cli.run``
 with ``--out``, and prints one line per job:
 
-    workload job exit sha256(out) sha256(stderr)
+    workload job exit sha256(out) sha256(stderr) warnings
 
-``-`` stands for a job that wrote no output file.  The package is imported
-from ``PYTHONPATH``, so diffing the output for two trees checks that every
-report, exit code and error message is byte-identical:
+``-`` stands for a job that wrote no output file; ``warnings`` is the length
+of a JSON report's ``warnings`` list, or ``-`` for any other output.  The
+package is imported from ``PYTHONPATH``, so diffing the output for two trees
+checks that every report, exit code and error message is byte-identical:
 
     PYTHONPATH=src python scripts/report_digests.py --seed 57 > new.txt
     PYTHONPATH=../parent/src python scripts/report_digests.py --seed 57 > old.txt
@@ -22,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -53,13 +55,22 @@ def digest_lines(seed: int, variant: int, tiny: bool):
                     except Exception as exc:  # one broken job must not hide the rest
                         traceback.print_exc()
                         status = type(exc).__name__
-                out_digest = "-"
+                out_digest = n_warnings = "-"
                 if os.path.exists(out):
                     with open(out, "rb") as fh:
-                        out_digest = _sha256(fh.read())
+                        data = fh.read()
                     os.remove(out)
+                    out_digest = _sha256(data)
+                    n_warnings = _count_warnings(data)
                 err_digest = _sha256(err.getvalue().encode())
-                yield f"{workload} {job['id']} {status} {out_digest} {err_digest}"
+                yield f"{workload} {job['id']} {status} {out_digest} {err_digest} {n_warnings}"
+
+
+def _count_warnings(data: bytes) -> str:
+    """Length of a JSON report's ``warnings`` list, ``-`` for other output."""
+    if not data.startswith(b"{"):  # csv, svg and ascii output
+        return "-"
+    return str(len(json.loads(data)["warnings"]))
 
 
 def main(argv=None) -> int:

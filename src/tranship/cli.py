@@ -68,21 +68,27 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+class _OutputError(Exception):
+    """The output file could not be written."""
+
+
 def _emit(report: dict, out_path):
     text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        _emit_bytes(text.encode(), out_path)
     else:
         sys.stdout.write(text)
 
 
 def _emit_bytes(data: bytes, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.buffer.write(data)
+        return
+    try:
         with open(out_path, "wb") as fh:
             fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def _parse_grid_spec(spec: str, dim: int):
@@ -487,6 +493,9 @@ def run(argv) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
+        return EXIT_VALIDATION
+    except _OutputError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
         return EXIT_VALIDATION
     except InfeasibleFlowError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")

@@ -425,11 +425,6 @@ class Distribution:
             return self.measure_part.dim
         return self.divergence_part.dim
 
-    @property
-    def zero_average(self) -> bool:
-        # the divergence part always pairs to zero against constants
-        return self.measure_part.balanced if len(self.measure_part) else True
-
     @staticmethod
     def from_measure(m: SignedAtomMeasure) -> "Distribution":
         return Distribution(m, StructuredVectorMeasure.empty(m.dim))

@@ -8,6 +8,11 @@ gives the distance from -div(nu) to the space of divergences of tangential
 measures as the plain normal mass, and the same number falls out of the
 flux part of any generalized plan built over the instance -- both are
 computed here and cross-checked in the tests.
+
+:func:`decompose` certifies that the transport norms of the two summands add
+by pairing with one explicit 1-Lipschitz witness, a :class:`ConeWitness`: the
+positive part of an upper envelope of unit cones, one per support point of
+the tangential divergence (its matching potential) and one per normal atom.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .measures import (
     Distribution,
     DipoleChain,
     NotAMeasure,
-    SignedAtomMeasure,
     StructuredVectorMeasure,
     divergence_as_measure,
     pair,
@@ -42,9 +46,7 @@ __all__ = [
     "ModulusCurve",
     "modulus",
     "verify_modulus_bound",
-    "ConePiece",
-    "SupportCones",
-    "LipschitzWitness",
+    "ConeWitness",
     "normal_witness",
     "additivity_witness",
     "tangential_cycle",
@@ -95,114 +97,79 @@ def distance_to_sharp(nu: StructuredVectorMeasure) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz witnesses: max-combinations of exactly 1-Lipschitz pieces.
+# Lipschitz witnesses: the positive part of an upper envelope of unit cones.
 
 
 @dataclass(frozen=True)
-class ConePiece:
-    """Downward unit cone height - |x - apex|; 1-Lipschitz, smooth off the apex."""
+class ConeWitness:
+    """max(0, max_i (heights_i - |x - apexes_i|)): 1-Lipschitz by construction.
 
-    apex: np.ndarray
-    height: float
-
-    def value(self, point) -> float:
-        return self.height - dist(point, self.apex)
-
-    def gradient(self, point) -> np.ndarray:
-        d = np.asarray(point, dtype=float) - self.apex
-        r = vec_norm(d)
-        if r == 0.0:
-            return np.zeros(self.apex.size)
-        return -d / r
-
-
-@dataclass(frozen=True)
-class SupportCones:
-    """Largest function below given support values with Lipschitz constant 1:
-    max_i (values_i - |x - points_i|)."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def _cones(self, point) -> np.ndarray:
-        return self.values - dists(point, self.points)
-
-    def value(self, point) -> float:
-        return np.max(self._cones(point), initial=-np.inf)
-
-    def gradient(self, point) -> np.ndarray:
-        arg = self.points[np.argmax(self._cones(point))]
-        d = np.asarray(point, dtype=float) - arg
-        r = vec_norm(d)
-        if r == 0.0:
-            return np.zeros(d.size)
-        return -d / r
-
-
-@dataclass(frozen=True)
-class LipschitzWitness:
-    """max(0, pieces...): 1-Lipschitz by construction.
-
-    The gradient is the gradient of the winning piece (zero where the floor
-    wins); it is only meant to be evaluated where the winner is locally
+    ``apexes`` is ``(n, dim)`` and ``heights`` ``(n,)``.  The gradient is
+    that of the first maximal cone, or zero where the floor wins or at that
+    cone's apex; it is only meant to be evaluated where the winner is locally
     smooth, which the constructions below arrange.
     """
 
-    pieces: tuple
+    apexes: np.ndarray
+    heights: np.ndarray
+
+    def _cones(self, point) -> np.ndarray:
+        return self.heights - dists(point, self.apexes)
 
     def value(self, point) -> float:
-        best = 0.0
-        for piece in self.pieces:
-            best = max(best, piece.value(point))
-        return best
+        return max(0.0, float(np.max(self._cones(point), initial=-np.inf)))
 
     def gradient(self, point) -> np.ndarray:
-        best = 0.0
-        winner = None
-        for piece in self.pieces:
-            cand = piece.value(point)
-            if cand > best:
-                best = cand
-                winner = piece
-        if winner is None:
-            return np.zeros(np.asarray(point, dtype=float).size)
-        return winner.gradient(point)
+        point = np.asarray(point, dtype=float)
+        cones = self._cones(point)
+        if not np.any(cones > 0.0):
+            return np.zeros(point.size)
+        d = point - self.apexes[np.argmax(cones)]
+        r = vec_norm(d)
+        if r == 0.0:
+            return np.zeros(point.size)
+        return -d / r
 
 
-def _cone_for_atom(point, vector, radius: float) -> ConePiece:
-    direction = vector / vec_norm(vector)
-    apex = point + 0.5 * radius * direction
-    return ConePiece(apex=apex, height=float(radius))
+def _atom_cones(atom_points, atom_vectors, radius: float):
+    """Apexes `radius`/2 along each atom's unit vector, all of height `radius`.
+
+    Zero vectors get no cone: such an atom pairs to 0 with any gradient.
+    """
+    nonzero = np.any(atom_vectors != 0.0, axis=1)
+    points, vectors = atom_points[nonzero], atom_vectors[nonzero]
+    direction = vectors / dists(vectors, 0.0)[:, None]
+    apexes = points + 0.5 * radius * direction
+    return apexes, np.full(len(apexes), float(radius))
 
 
-def normal_witness(nu_normal: StructuredVectorMeasure, radius: float) -> LipschitzWitness:
+def normal_witness(nu_normal: StructuredVectorMeasure, radius: float) -> ConeWitness:
     """Witness with unit gradient aligned to each normal atom's vector.
 
     Each atom gets a cone whose apex sits `radius`/2 along the atom vector, so
     the gradient at the atom is the unit vector of its density; the cone is
     positive only within 1.5 * radius of the atom.
     """
-    pieces = [
-        _cone_for_atom(p, v, radius)
-        for p, v in zip(nu_normal.atom_points, nu_normal.atom_vectors)
-    ]
-    return LipschitzWitness(pieces=tuple(pieces))
+    return ConeWitness(*_atom_cones(nu_normal.atom_points, nu_normal.atom_vectors, radius))
 
 
-def additivity_witness(potential_points, potential_values, normal_atoms, radius: float):
+def additivity_witness(
+    potential_points, potential_values, atom_points, atom_vectors, radius: float
+) -> ConeWitness:
     """Witness achieving the matching value on the support and |vector| at each
-    separated normal atom, with Lipschitz constant 1 by construction."""
-    pieces = []
-    pts = np.atleast_2d(np.asarray(potential_points, dtype=float))
-    if pts.size:
-        pieces.append(SupportCones(points=pts, values=np.asarray(potential_values, dtype=float)))
-    for point, vector in normal_atoms:
-        pieces.append(_cone_for_atom(np.asarray(point, dtype=float), np.asarray(vector, dtype=float), radius))
-    return LipschitzWitness(pieces=tuple(pieces))
+    separated normal atom, with Lipschitz constant 1 by construction.
+
+    The support cones come first, so they win ties with the atom cones.
+    """
+    apexes, heights = _atom_cones(atom_points, atom_vectors, radius)
+    return ConeWitness(
+        np.concatenate([potential_points, apexes]),
+        np.concatenate([potential_values, heights]),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Decomposition f = f_T + f_N with optional optimality certification.
+# Decomposition f = f_T + f_N with an optimality certificate.
 
 
 @dataclass(frozen=True)
@@ -215,29 +182,25 @@ class Decomposition:
     claimed_value: Optional[float] = None
 
 
-def decompose(nu: StructuredVectorMeasure, certify: bool = True) -> Decomposition:
+def decompose(nu: StructuredVectorMeasure) -> Decomposition:
     """Split -div(nu) into tangential and normal summands.
 
     The split itself is always defined.  The additivity of the transport norms
     of the two summands additionally requires `nu` to be a norm-optimal
-    representation; when `certify` is set, a 1-Lipschitz dual witness is
-    built (matching potential on the tangential support, aligned cones at the
-    normal atoms) and the result is tagged certified only if the witness value
-    reaches the claimed total.  Uncertified results are still returned.
+    representation: a 1-Lipschitz dual witness is built (matching potential
+    on the tangential support, aligned cones at the normal atoms) and the
+    result is tagged certified only if the witness value reaches the claimed
+    total.  Uncertified results are still returned.
     """
     parts = tangential_split(nu)
-    tangential = Distribution.from_divergence(parts.tangential)
-    normal = Distribution.from_divergence(parts.normal)
-    if not certify:
-        return Decomposition(tangential, normal, parts.normal_mass, certified=False)
     witness_value, claimed = _try_certify(parts)
     certified = (
         witness_value is not None
         and abs(witness_value - claimed) <= 1e-8 * max(1.0, abs(claimed))
     )
     return Decomposition(
-        tangential,
-        normal,
+        Distribution.from_divergence(parts.tangential),
+        Distribution.from_divergence(parts.normal),
         parts.normal_mass,
         certified=certified,
         witness_value=witness_value,
@@ -248,42 +211,33 @@ def decompose(nu: StructuredVectorMeasure, certify: bool = True) -> Decompositio
 def _try_certify(parts: TangentialSplit):
     if parts.tangential.cells is not None:
         return None, None
-    if np.any(dists(parts.normal.seg_density, 0.0) * parts.normal.segment_lengths > 0):
+    normal = parts.normal
+    if np.any(dists(normal.seg_density, 0.0) * normal.segment_lengths > 0):
         return None, None  # cone witnesses only cover atomic normal parts
     converted = divergence_as_measure(parts.tangential)
     if isinstance(converted, NotAMeasure):
         return None, None
     matching = minimal_connection(converted)
-    if len(converted):
-        pot_pts = converted.points
-        pot_vals = matching.potential
-    else:
-        pot_pts = np.zeros((0, parts.tangential.dim))
-        pot_vals = np.zeros(0)
-    normal_atoms = list(zip(parts.normal.atom_points, parts.normal.atom_vectors))
-    radius = _separation_radius(pot_pts, normal_atoms)
-    if normal_atoms and radius <= 0.0:
+    radius = _separation_radius(converted.points, normal.atom_points)
+    if normal.n_atoms and radius <= 0.0:
         return None, None
-    witness = additivity_witness(pot_pts, pot_vals, normal_atoms, radius)
-    f = Distribution(
-        measure_part=converted if len(converted) else SignedAtomMeasure.empty(parts.normal.dim),
-        divergence_part=StructuredVectorMeasure.build(
-            parts.normal.dim, atoms=normal_atoms, validate=False
-        ),
+    witness = additivity_witness(
+        converted.points, matching.potential, normal.atom_points, normal.atom_vectors, radius
     )
-    witness_value = pair(f, witness)
+    zeros = np.zeros((0, normal.dim))
+    atoms = StructuredVectorMeasure(
+        normal.dim, normal.atom_points, normal.atom_vectors, zeros, zeros, zeros, validate=False
+    )
+    witness_value = pair(Distribution(converted, atoms), witness)
     claimed = matching.cost + parts.normal_mass
     return witness_value, claimed
 
 
-def _separation_radius(support_points, normal_atoms) -> float:
-    if not normal_atoms:
-        return 1.0
-    pts = np.array([p for p, _ in normal_atoms])
-    i, j = np.triu_indices(len(pts), 1)
+def _separation_radius(support_points, atom_points) -> float:
+    i, j = np.triu_indices(len(atom_points), 1)
     d_min = float(min(
-        np.min(dists(pts[i], pts[j]), initial=np.inf),
-        np.min(dists(pts[:, None], support_points[None]), initial=np.inf),
+        np.min(dists(atom_points[i], atom_points[j]), initial=np.inf),
+        np.min(dists(atom_points[:, None], support_points[None]), initial=np.inf),
     ))
     if not np.isfinite(d_min):
         return 1.0
@@ -331,28 +285,22 @@ class ModulusCurve:
 
     ``verified_margin`` is the worst empirical violation observed when the
     curve was checked against sampled Lipschitz functions (nonpositive means
-    the bound held), or None when verification was skipped.
+    the bound held), or None for an empty chain, which pairs to zero.
     """
 
     samples: tuple
     verified_margin: Optional[float] = None
 
 
-def modulus(
-    chain: DipoleChain,
-    eps_list,
-    verify_samples: int = 100,
-    seed: int = 0,
-) -> ModulusCurve:
+def modulus(chain: DipoleChain, eps_list, seed: int = 0) -> ModulusCurve:
     """For each eps, the smallest k whose certified tail is below eps.
 
     The first k dipoles are absorbed into the uniform term (2 per dipole),
     the remainder into the Lipschitz term.  With an analytic tail any
     positive eps is certifiable (k may exceed the listed pairs); without one
-    the whole chain fits already at eps = 0.  Unless `verify_samples` is 0,
-    the certified bound is spot-checked on sampled Lipschitz functions with
-    known norms; a violation raises, since it would mean the certificate
-    itself is wrong.
+    the whole chain fits already at eps = 0.  The certified bound is
+    spot-checked on sampled Lipschitz functions with known norms; a violation
+    raises, since it would mean the certificate itself is wrong.
     """
     m = len(chain)
     samples = []
@@ -378,8 +326,8 @@ def modulus(
             k = cand
         samples.append((eps, 2 * k, k))
     curve = ModulusCurve(samples=tuple(samples))
-    if verify_samples > 0 and m > 0:
-        margin = verify_modulus_bound(chain, curve, n_samples=verify_samples, seed=seed)
+    if m > 0:
+        margin = verify_modulus_bound(chain, curve, n_samples=100, seed=seed)
         if margin > 1e-12:
             raise VerificationError(
                 f"modulus bound violated by {margin!r} on a sampled function"
@@ -389,13 +337,13 @@ def modulus(
 
 
 class _ClippedAffine:
-    """clip(w . x + b, -cap, cap): known sup norm and Lipschitz constant on a box."""
+    """clip(w . x + b, -cap, cap): known sup norm and Lipschitz constant on the
+    box whose ``corners`` (rows) are given."""
 
-    def __init__(self, w, b, cap, box_lo, box_hi):
+    def __init__(self, w, b, cap, corners):
         self.w = np.asarray(w, dtype=float)
         self.b = float(b)
         self.cap = float(cap)
-        corners = _box_corners(np.asarray(box_lo, float), np.asarray(box_hi, float))
         affine = corners @ self.w + self.b
         lo, hi = float(affine.min()), float(affine.max())
         self.sup = max(abs(self._clip(lo)), abs(self._clip(hi)))
@@ -433,6 +381,7 @@ def verify_modulus_bound(
     pts = np.array([q for p, n in chain.pairs for q in (p, n)])
     lo = pts.min(axis=0) - 0.5
     hi = pts.max(axis=0) + 0.5
+    corners = _box_corners(lo, hi)
     remainder = chain.tail_bound(len(chain))
     worst = -np.inf
     for eps, c_const, _k in curve.samples:
@@ -440,9 +389,9 @@ def verify_modulus_bound(
             w = rng.normal(size=pts.shape[1])
             w *= rng.uniform(0.5, 2.0) / max(vec_norm(w), 1e-12)
             b = rng.uniform(-1.0, 1.0)
-            span = float(np.abs(_box_corners(lo, hi) @ w + b).max())
+            span = float(np.abs(corners @ w + b).max())
             cap = rng.uniform(0.3, 0.9) * max(span, 1e-6)
-            u = _ClippedAffine(w, b, cap, lo, hi)
+            u = _ClippedAffine(w, b, cap, corners)
             lhs = abs(chain.pair_with(u)) + remainder * u.lip
             rhs = c_const * u.sup + eps * u.lip
             worst = max(worst, lhs - rhs)

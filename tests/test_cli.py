@@ -200,6 +200,38 @@ class TestCommands:
         assert report["values"]["certified"] is True
         assert report["certificates"]["f_T"]["as_measure"] is not None
 
+    def test_decompose_zero_vector_atom(self, tmp_path, capsys):
+        # the zero atom pairs to 0 and gets no witness cone; it used to build
+        # a NaN cone whose division warning leaked into the report
+        doc = {
+            "version": 1,
+            "segments": [{"a": [0.0, 0.0], "b": [1.0, 0.0], "density": [1.0, 0.0]}],
+            "vector_atoms": [
+                {"point": [5.0, 0.0], "vector": [0.0, 0.0]},
+                {"point": [8.0, 0.0], "vector": [0.0, 1.0]},
+            ],
+        }
+        path = write_doc(tmp_path, doc)
+        assert run(["decompose", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["values"]["certified"] is True
+        assert report["certificates"]["witness_value"] == 2.0
+        assert report["warnings"] == []
+
+    def test_io_errors_name_input_or_output(self, tmp_path, capsys):
+        assert run(["connect", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().err.startswith("cannot read input: [Errno 2]")
+        chain = {"dipoles": {"pairs": [{"p": [0.0, 0.0], "n": [1.0, 0.0]}]}}
+        path = write_doc(tmp_path, {**UNIT_DIPOLE_DOC, **chain})
+        out = str(tmp_path / "missing_dir" / "x.json")
+        for argv in (
+            ["connect", path, "--out", out],
+            ["modulus", path, "--eps", "0.5", "--format", "csv", "--out", out],
+            ["density", path, "--grid", "2x2", "--out", out],
+        ):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("cannot write output: [Errno 2]"), argv
+
     def test_modulus_json_and_csv(self, tmp_path, capsys):
         doc = {
             "version": 1,

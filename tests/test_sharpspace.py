@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tranship.beckmann import complete_network, flow_to_vector_measure, solve_beckmann
 from tranship.errors import ValidationError
 from tranship.funcs import polynomial_family
+from tranship.geom import dist, dists, vec_norm
 from tranship.genplan import plan_from_matching, to_vector_measure
 from tranship.matchnorm import minimal_connection
 from tranship.measures import (
@@ -20,6 +21,8 @@ from tranship.measures import (
     pair,
 )
 from tranship.sharpspace import (
+    _separation_radius,
+    additivity_witness,
     decompose,
     distance_to_sharp,
     modulus,
@@ -159,7 +162,7 @@ class TestDecompose:
 
     def test_pairing_splits_additively(self, rng):
         nu, _matching, _normal = certified_instance(rng)
-        result = decompose(nu, certify=False)
+        result = decompose(nu)
         f = Distribution.from_divergence(nu)
         for func in polynomial_family(2, 3):
             got = pair(result.tangential, func) + pair(result.normal, func)
@@ -217,6 +220,96 @@ class TestNormalWitness:
             if d == 0.0:
                 continue
             assert abs(witness.value(x) - witness.value(y)) <= d * (1.0 + 1e-12)
+
+
+def _reference_pieces(support_points, support_values, atom_points, atom_vectors, radius):
+    """The witness piece by piece, as (value, apex of the winner) callables:
+    one piece for all support cones (ties go to the first point), then one
+    cone per nonzero atom, its apex `radius`/2 along the atom's unit vector."""
+    pieces = []
+    if len(support_points):
+        def support(x):
+            cones = support_values - dists(x, support_points)
+            return np.max(cones, initial=-np.inf), support_points[np.argmax(cones)]
+        pieces.append(support)
+    for point, vector in zip(atom_points, atom_vectors):
+        if not np.any(vector):
+            continue
+        apex = point + 0.5 * radius * (vector / vec_norm(vector))
+        pieces.append(lambda x, apex=apex: (float(radius) - dist(x, apex), apex))
+    return pieces
+
+
+def _reference_value(pieces, x):
+    best = 0.0
+    for piece in pieces:
+        best = max(best, piece(x)[0])
+    return best
+
+
+def _reference_gradient(pieces, x):
+    # a strict > keeps the earlier piece on ties; the floor 0 wins over none
+    best, winner = 0.0, None
+    for piece in pieces:
+        cand, apex = piece(x)
+        if cand > best:
+            best, winner = cand, apex
+    x = np.asarray(x, dtype=float)
+    if winner is None:
+        return np.zeros(x.size)
+    d = x - winner
+    r = vec_norm(d)
+    return np.zeros(x.size) if r == 0.0 else -d / r
+
+
+class TestConeWitness:
+    def _assert_matches_reference(self, args, points):
+        witness = additivity_witness(*args)
+        pieces = _reference_pieces(*args)
+        for x in points:
+            assert witness.value(x) == _reference_value(pieces, x), x
+            got = witness.gradient(x)
+            assert got.tobytes() == _reference_gradient(pieces, x).tobytes(), x
+
+    def test_certified_instances_match_piecewise_maximum(self, rng):
+        for _ in range(20):
+            nu, _matching, _normal = certified_instance(rng)
+            parts = tangential_split(nu)
+            converted = divergence_as_measure(parts.tangential)
+            normal = parts.normal
+            radius = _separation_radius(converted.points, normal.atom_points)
+            args = (
+                converted.points,
+                minimal_connection(converted).potential,
+                normal.atom_points,
+                normal.atom_vectors,
+                radius,
+            )
+            random_points = np.column_stack(
+                [rng.uniform(-1.0, 10.0, size=50), rng.uniform(-1.0, 2.0, size=50)]
+            )
+            self._assert_matches_reference(
+                args, [*converted.points, *normal.atom_points, *random_points]
+            )
+
+    def test_ties_and_floor_match_piecewise_maximum(self):
+        # the atom (3, 0) with vector (1, 0) and radius 1 has its cone apex at
+        # (3.5, 0); the support value 3.5 ties it at the atom (both 0.5, with
+        # opposite gradients) and the value 4.5 at the apex (both 1.0, where
+        # the atom cone's gradient is 0)
+        atoms = np.array([[3.0, 0.0], [0.0, 5.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])
+        probes = [(3.0, 0.0), (3.5, 0.0), (1.0, 0.0), (0.0, 0.0), (100.0, 100.0), (0.0, 5.0)]
+        for value in (3.5, 4.5, 1.0):
+            args = (np.array([[0.0, 0.0]]), np.array([value]), *atoms, 1.0)
+            self._assert_matches_reference(args, probes)
+        witness = additivity_witness(np.array([[0.0, 0.0]]), np.array([3.5]), *atoms, 1.0)
+        assert witness.gradient((3.0, 0.0)).tolist() == [-1.0, 0.0]  # support wins
+        assert witness.value((100.0, 100.0)) == 0.0  # the floor wins
+        assert witness.gradient((100.0, 100.0)).tolist() == [0.0, 0.0]
+        # support value 1 reaches 0 exactly at (1, 0): the floor keeps it
+        witness = additivity_witness(np.array([[0.0, 0.0]]), np.array([1.0]), *atoms, 1.0)
+        assert witness.value((1.0, 0.0)) == 0.0
+        assert witness.gradient((1.0, 0.0)).tolist() == [0.0, 0.0]
 
 
 class TestSigmaZeroCrossCheck:
