@@ -6,9 +6,18 @@ Three independent routes to the same value:
 * :func:`minimal_connection` -- primal transport, one min-cost flow on the
   complete bipartite graph for every mass pattern, certified by the
   c-transform of the flow's sink potentials,
-* :func:`dual_potential` -- the finite dual LP over all support pairs,
+* :func:`dual_potential` -- the finite dual LP: maximize the pairing over
+  potentials with u_i - u_j <= |x_i - x_j| on every ordered support pair,
 * :func:`brute_force_connection` -- exhaustive matching oracle for tiny
   unit-mass instances.
+
+The dual LP and both flat-norm LPs (:func:`flat_norm`) have one Lipschitz
+row per ordered atom pair, n(n-1) in all.  They are solved by row generation
+(:func:`_row_generated`): each LP starts from every atom's ``NEIGHBOURS``
+nearest atoms plus a star through atom 0, one all-pairs distance matrix
+checks the optimum against every pair, the violated pairs are added and the
+LP is solved again.  The optimum that violates no pair is the all-pairs
+optimum, with a few rows per atom instead of n.
 
 The LP solver comes from :mod:`scipy.optimize`, which is imported on the
 first call of :func:`linprog`, so importing this module loads no scipy.
@@ -52,10 +61,15 @@ def linear_sum_assignment(cost_matrix):
     return linear_sum_assignment(cost_matrix)
 
 
+# HiGHS's feasibility tolerances; row generation adds a pair when the optimum
+# violates its Lipschitz row by more than the same amount
+LP_FEASIBILITY_TOL = 1e-10
 _LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
+    "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
+    "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
 }
+# nearest neighbours per atom in the LPs' starting rows
+NEIGHBOURS = 8
 
 
 @dataclass(frozen=True)
@@ -146,48 +160,97 @@ def _read_only(values):
     return values
 
 
-def _pair_constraints(points):
-    """Rows of u_i - u_j <= |x_i - x_j| over all ordered support pairs,
-    ordered by (i, j)."""
-    n = len(points)
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
+def _pair_constraints(points, i, j):
+    """Rows of u_i - u_j <= |x_i - x_j| for the ordered pairs (i[k], j[k]),
+    in the order given."""
     rows = np.arange(i.size)
-    a_ub = np.zeros((i.size, n))
+    a_ub = np.zeros((i.size, len(points)))
     a_ub[rows, i] = 1.0
     a_ub[rows, j] = -1.0
     return a_ub, dists(points[i], points[j])
 
 
+def _highs(what, **lp):
+    res = linprog(**lp, method="highs", options=_LP_OPTIONS)
+    if not res.success:
+        raise TranshipError(f"{what} LP failed: {res.message}")
+    return res
+
+
+def _candidate_pairs(d):
+    """Mask of the ordered pairs (i, j) the rows start from, given the
+    all-pairs distances `d`: each atom's ``NEIGHBOURS`` nearest atoms in both
+    directions, plus the star (0, i), (i, 0) through atom 0, which keeps the
+    restricted LP bounded when the neighbour graph is disconnected."""
+    n = len(d)
+    k = min(NEIGHBOURS, n - 1)
+    active = np.zeros((n, n), dtype=bool)
+    if k > 0:
+        off = d + np.diag(np.full(n, np.inf))
+        near = np.argpartition(off, k - 1, axis=1)[:, :k]
+        rows = np.repeat(np.arange(n), k)
+        active[rows, near.ravel()] = True
+        active |= active.T
+        active[0, 1:] = active[1:, 0] = True
+    return active
+
+
+def _row_generated(points, solve):
+    """Solve a Lipschitz-constrained LP by row generation.
+
+    `solve(a_ub, b_ub)` solves the LP with the pair rows of
+    :func:`_pair_constraints` and returns ``(res, u, lip)``: the result, the
+    potential at every atom and its Lipschitz budget.  The rows start from
+    :func:`_candidate_pairs`; after each solve every pair (i, j) is checked
+    at once, and the pairs with ``u_i - u_j - lip * d_ij > LP_FEASIBILITY_TOL``
+    join the rows for the next solve.  The loop ends because every round adds
+    a pair.  The last optimum is feasible for the LP over all pairs and
+    optimal for a relaxation of it, so it is optimal for the full LP.
+    Returns ``(res, u, d)`` with `d` the all-pairs distance matrix.
+    """
+    d = dists(points[:, None], points[None])
+    active = _candidate_pairs(d)
+    while True:
+        i, j = np.nonzero(active)
+        res, u, lip = solve(*_pair_constraints(points, i, j))
+        violated = u[:, None] - u[None] - lip * d > LP_FEASIBILITY_TOL
+        violated &= ~active
+        if not violated.any():
+            return res, u, d
+        active |= violated
+
+
 def dual_potential(f: SignedAtomMeasure):
     """Solve max sum_i m_i u(x_i) subject to the pairwise Lipschitz constraints.
 
-    Returns ``(Potential, value)`` with the potential shifted so its minimum
-    is zero; by strong duality the value equals the minimal-connection cost.
+    Solved by row generation (:func:`_row_generated`): the LP starts from the
+    nearest-neighbour pairs and gains the pairs its optimum violates, until
+    the optimum satisfies u_i - u_j <= |x_i - x_j| on all pairs.  Returns
+    ``(Potential, value)`` with the potential shifted so its minimum is zero;
+    by strong duality the value equals the minimal-connection cost.  The
+    potential's ``lip_bound`` is its largest slope over all pairs.
     """
     f.require_balanced()
     n = len(f)
     if n == 0:
         return Potential(values=_read_only(np.zeros(0)), lip_bound=0.0), 0.0
-    points = f.points
-    a_ub, b_ub = _pair_constraints(points)
-    # pin u[0] = 0: the balanced objective is invariant under constant shifts
-    res = linprog(
-        c=-f.masses[1:],
-        A_ub=a_ub[:, 1:],
-        b_ub=b_ub,
-        bounds=[(None, None)] * (n - 1),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if not res.success:
-        raise TranshipError(f"dual potential LP failed: {res.message}")
-    u = np.concatenate([[0.0], res.x])
+
+    def solve(a_ub, b_ub):
+        # pin u[0] = 0: the balanced objective is invariant under constant shifts
+        res = _highs(
+            "dual potential",
+            c=-f.masses[1:],
+            A_ub=a_ub[:, 1:],
+            b_ub=b_ub,
+            bounds=[(None, None)] * (n - 1),
+        )
+        return res, np.concatenate([[0.0], res.x]), 1.0
+
+    _, u, d = _row_generated(f.points, solve)
     u -= u.min()
     value = float(np.sum(f.masses * u))
-    i, j = np.triu_indices(n, 1)
-    d = dists(points[i], points[j])
     apart = d > 0.0
-    lip = float(np.max(np.abs(u[i] - u[j])[apart] / d[apart], initial=0.0))
+    lip = float(np.max(np.abs(u[:, None] - u[None])[apart] / d[apart], initial=0.0))
     return Potential(values=_read_only(u), lip_bound=lip), value
 
 
@@ -197,6 +260,10 @@ def flat_norm(f: SignedAtomMeasure, convention: str = "max") -> float:
     ``max``  : sup of the pairing over |u| <= 1 with Lipschitz constant <= 1.
     ``sum``  : the uniform bound and the Lipschitz budget share a total of 1,
                encoded with an explicit budget variable L.
+
+    Both LPs are solved by row generation over the atom pairs, as in
+    :func:`dual_potential`; in the ``sum`` convention a pair is violated when
+    u_i - u_j exceeds L d_ij.
     """
     if convention not in ("max", "sum"):
         raise ValidationError(f"unknown flat norm convention {convention!r}")
@@ -208,17 +275,12 @@ def _flat_norm_lp(f: SignedAtomMeasure, convention: str):
     n = len(f)
     if n == 0:
         return 0.0, np.zeros(0)
-    a_pairs, b_pairs = _pair_constraints(f.points)
-    if convention == "max":
-        res = linprog(
-            c=-f.masses,
-            A_ub=a_pairs,
-            b_ub=b_pairs,
-            bounds=[(-1.0, 1.0)] * n,
-            method="highs",
-            options=_LP_OPTIONS,
-        )
-    else:
+
+    def solve_max(a_pairs, b_pairs):
+        res = _highs("flat norm", c=-f.masses, A_ub=a_pairs, b_ub=b_pairs, bounds=[(-1.0, 1.0)] * n)
+        return res, res.x, 1.0
+
+    def solve_sum(a_pairs, b_pairs):
         # variables (u_1..u_n, L): u_i - u_j <= L d_ij and |u_i| <= 1 - L
         n_rows = a_pairs.shape[0]
         a_ub = np.zeros((n_rows + 2 * n, n + 1))
@@ -230,17 +292,16 @@ def _flat_norm_lp(f: SignedAtomMeasure, convention: str):
         a_ub[n_rows + 2 * cols + 1, cols] = -1.0
         a_ub[n_rows:, n] = 1.0
         b_ub[n_rows:] = 1.0
-        res = linprog(
+        res = _highs(
+            "flat norm",
             c=np.concatenate([-f.masses, [0.0]]),
             A_ub=a_ub,
             b_ub=b_ub,
             bounds=[(None, None)] * n + [(0.0, 1.0)],
-            method="highs",
-            options=_LP_OPTIONS,
         )
-    if not res.success:
-        raise TranshipError(f"flat norm LP failed: {res.message}")
-    u = res.x[: len(f)]
+        return res, res.x[:n], res.x[n]
+
+    res, u, _ = _row_generated(f.points, solve_max if convention == "max" else solve_sum)
     return float(-res.fun), u
 
 

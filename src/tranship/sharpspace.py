@@ -131,13 +131,17 @@ class ConeWitness:
         return -d / r
 
 
-def _atom_cones(atom_points, atom_vectors, radius: float):
-    """Apexes `radius`/2 along each atom's unit vector, all of height `radius`.
-
-    Zero vectors get no cone: such an atom pairs to 0 with any gradient.
-    """
+def _coned_atoms(atom_points, atom_vectors):
+    """The atoms that get a witness cone: a zero vector pairs to 0 with any
+    gradient, so its atom needs no cone and no room for one."""
     nonzero = np.any(atom_vectors != 0.0, axis=1)
-    points, vectors = atom_points[nonzero], atom_vectors[nonzero]
+    return atom_points[nonzero], atom_vectors[nonzero]
+
+
+def _atom_cones(atom_points, atom_vectors, radius: float):
+    """Apexes `radius`/2 along each atom's unit vector, all of height `radius`;
+    zero-vector atoms get no cone (:func:`_coned_atoms`)."""
+    points, vectors = _coned_atoms(atom_points, atom_vectors)
     direction = vectors / dists(vectors, 0.0)[:, None]
     apexes = points + 0.5 * radius * direction
     return apexes, np.full(len(apexes), float(radius))
@@ -218,8 +222,10 @@ def _try_certify(parts: TangentialSplit):
     if isinstance(converted, NotAMeasure):
         return None, None
     matching = minimal_connection(converted)
-    radius = _separation_radius(converted.points, normal.atom_points)
-    if normal.n_atoms and radius <= 0.0:
+    radius = _separation_radius(
+        converted.points, _coned_atoms(normal.atom_points, normal.atom_vectors)[0]
+    )
+    if radius <= 0.0:
         return None, None
     witness = additivity_witness(
         converted.points, matching.potential, normal.atom_points, normal.atom_vectors, radius

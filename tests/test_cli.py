@@ -218,6 +218,29 @@ class TestCommands:
         assert report["certificates"]["witness_value"] == 2.0
         assert report["warnings"] == []
 
+    def test_decompose_zero_vector_atom_on_support(self, tmp_path, capsys):
+        # a zero atom gets no cone, so it must not shrink the cones' radius:
+        # on a support point it used to make the radius 0 and the result
+        # uncertified, although the same input without it certifies
+        doc = {
+            "version": 1,
+            "segments": [{"a": [0.0, 0.0], "b": [1.0, 0.0], "density": [1.0, 0.0]}],
+            "vector_atoms": [
+                {"point": [1.0, 0.0], "vector": [0.0, 0.0]},
+                {"point": [8.0, 0.0], "vector": [0.0, 1.0]},
+            ],
+        }
+        reports = []
+        for atoms in (doc["vector_atoms"], doc["vector_atoms"][1:]):
+            path = write_doc(tmp_path, {**doc, "vector_atoms": atoms})
+            assert run(["decompose", path]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        with_zero, without = reports
+        assert without["values"]["certified"] is True
+        assert with_zero["values"] == without["values"]
+        assert with_zero["certificates"]["witness_value"] == 2.0
+        assert with_zero["warnings"] == []
+
     def test_io_errors_name_input_or_output(self, tmp_path, capsys):
         assert run(["connect", str(tmp_path / "missing.json")]) == 2
         assert capsys.readouterr().err.startswith("cannot read input: [Errno 2]")

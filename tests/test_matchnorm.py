@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from tranship.errors import UnbalancedMeasureError, ValidationError
 from tranship.geom import dist, dists
+from tranship import matchnorm
 from tranship.matchnorm import (
+    LP_FEASIBILITY_TOL,
     _pair_constraints,
     brute_force_connection,
     dual_potential,
@@ -247,7 +249,7 @@ class TestBruteForce:
 class TestDualPotential:
     def test_pair_constraint_rows_in_pair_order(self, rng):
         points = rng.uniform(size=(5, 2))
-        a_ub, b_ub = _pair_constraints(points)
+        a_ub, b_ub = _pair_constraints(points, *np.nonzero(~np.eye(5, dtype=bool)))
         pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
         expected = np.zeros((len(pairs), 5))
         for row, (i, j) in enumerate(pairs):
@@ -255,7 +257,7 @@ class TestDualPotential:
             expected[row, j] = -1.0
         assert np.array_equal(a_ub, expected)
         assert b_ub.tolist() == [dist(points[i], points[j]) for i, j in pairs]
-        assert _pair_constraints(points[:1])[0].shape == (0, 1)
+        assert _pair_constraints(points[:1], *np.nonzero(~np.eye(1, dtype=bool)))[0].shape == (0, 1)
 
     def test_unit_dipole_values(self, unit_dipole):
         pot, value = dual_potential(unit_dipole)
@@ -394,3 +396,127 @@ class TestFlatNorm:
     def test_unknown_convention_rejected(self, unit_dipole):
         with pytest.raises(ValidationError):
             flat_norm(unit_dipole, "median")
+
+
+def _record_rows(monkeypatch):
+    """Rows of every LP solved from now on, one entry per round."""
+    rows = []
+    solve = matchnorm.linprog
+
+    def counting(*args, **kwargs):
+        rows.append(kwargs["A_ub"].shape[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(matchnorm, "linprog", counting)
+    return rows
+
+
+def _all_pairs_value(f, kind):
+    """The LP over every ordered pair, built here from `_pair_constraints`."""
+    from scipy.optimize import linprog
+
+    n = len(f)
+    a, b = _pair_constraints(f.points, *np.nonzero(~np.eye(n, dtype=bool)))
+    if kind == "dual":
+        lp = dict(c=-f.masses[1:], A_ub=a[:, 1:], b_ub=b, bounds=[(None, None)] * (n - 1))
+    elif kind == "max":
+        lp = dict(c=-f.masses, A_ub=a, b_ub=b, bounds=[(-1.0, 1.0)] * n)
+    else:
+        eye = np.eye(n)
+        box = np.ones((n, 1))
+        lp = dict(
+            c=np.concatenate([-f.masses, [0.0]]),
+            A_ub=np.block([[a, -b[:, None]], [eye, box], [-eye, box]]),
+            b_ub=np.concatenate([np.zeros(len(b)), np.ones(2 * n)]),
+            bounds=[(None, None)] * n + [(0.0, 1.0)],
+        )
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(**lp, method="highs", options=options)
+    assert res.success
+    return -res.fun
+
+
+def _row_generated_value(f, kind):
+    return dual_potential(f)[1] if kind == "dual" else flat_norm(f, kind)
+
+
+def _row_generated_values(f):
+    return {kind: _row_generated_value(f, kind) for kind in ("dual", "max", "sum")}
+
+
+def _distinct_masses(rng, points):
+    n = len(points)
+    pos = rng.uniform(0.5, 1.5, size=n // 2)
+    neg = rng.uniform(0.5, 1.5, size=n - n // 2)
+    neg *= pos.sum() / neg.sum()
+    return SignedAtomMeasure(points, np.concatenate([pos, -neg]))
+
+
+class TestRowGeneration:
+    """The dual and flat-norm LPs start from nearest-neighbour pairs and add
+    violated pairs until the optimum is feasible for every pair."""
+
+    def test_rounds_add_rows_and_values_match_all_pairs(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        f = _distinct_masses(rng, rng.uniform(size=(200, 2)))
+        n = len(f)
+        for kind in ("dual", "max", "sum"):
+            rows = _record_rows(monkeypatch)
+            value = _row_generated_value(f, kind)
+            assert len(rows) >= 2, kind
+            assert all(a < b for a, b in zip(rows, rows[1:])), (kind, rows)
+            assert rows[-1] < n * (n - 1) // 2, (kind, rows)
+            monkeypatch.undo()
+            expected = _all_pairs_value(f, kind)
+            assert abs(value - expected) <= 1e-12 * abs(expected), kind
+
+    def test_potential_is_feasible_on_every_pair(self, rng):
+        f = _distinct_masses(rng, rng.uniform(size=(200, 2)))
+        pot, value = dual_potential(f)
+        d = dists(f.points[:, None], f.points[None])
+        u = pot.values
+        assert np.max(u[:, None] - u[None] - d) <= LP_FEASIBILITY_TOL
+        assert pot.lip_bound <= 1.0 + 1e-9
+        cost = minimal_connection(f).cost
+        assert abs(value - cost) <= 1e-12 * cost
+
+    def test_disconnected_neighbour_graph(self):
+        # two clusters 100 apart: no atom's 8 nearest neighbours cross the
+        # gap, and the star through atom 0 keeps the first LP bounded
+        rng = np.random.default_rng(3)
+        points = rng.uniform(size=(40, 2))
+        points[20:, 0] += 100.0
+        # each cluster is unbalanced by 10, so mass 10 crosses the gap
+        masses = np.repeat([1.0, -1.0, 1.0, -1.0], [15, 5, 5, 15])
+        f = SignedAtomMeasure(points, masses)
+        active = matchnorm._candidate_pairs(dists(f.points[:, None], f.points[None]))
+        assert np.array_equal(active, active.T)
+        cross = active.copy()
+        cross[:20, :20] = cross[20:, 20:] = False
+        assert np.array_equal(np.argwhere(cross[1:]), [[j - 1, 0] for j in range(20, 40)])
+        values = _row_generated_values(f)
+        for kind, value in values.items():
+            expected = _all_pairs_value(f, kind)
+            assert abs(value - expected) <= 1e-12 * abs(expected), kind
+        cost = minimal_connection(f).cost
+        assert cost > 1000.0
+        assert abs(values["dual"] - cost) <= 1e-12 * cost
+
+    def test_two_atoms(self, monkeypatch):
+        f = SignedAtomMeasure.from_atoms([((0.0, 0.0), 1.0), ((3.0, 4.0), -1.0)])
+        rows = _record_rows(monkeypatch)
+        values = _row_generated_values(f)
+        assert rows == [2, 2, 6]  # one round per LP: both pairs (and the sum form's box rows)
+        assert values["dual"] == 5.0
+        assert abs(values["max"] - 2.0) <= 1e-12
+        assert abs(values["sum"] - 2.0 * 5.0 / 7.0) <= 1e-12
+
+    def test_three_d_unit_masses_match_minimal_connection(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        points = rng.uniform(size=(200, 3))
+        f = SignedAtomMeasure(points, np.concatenate([np.ones(100), -np.ones(100)]))
+        rows = _record_rows(monkeypatch)
+        _, value = dual_potential(f)
+        assert len(rows) >= 2 and rows[-1] < 200 * 199 // 2
+        cost = minimal_connection(f).cost
+        assert abs(value - cost) <= 1e-12 * cost
