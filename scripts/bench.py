@@ -12,17 +12,30 @@ median.  Cases:
   400 atoms.  Each runs in its own child process, which also reports its
   peak RSS (numpy and scipy included);
 * ``minimal_connection`` at 100 / 200 / 400 / 800 atoms;
-* ``solve_beckmann`` on 64², 128² with diagonals and 256² grids over 36
-  atoms in the unit box (the network is built outside the timed call).
+* ``solve_beckmann`` on the complete graph at 100 / 200 atoms, and on 64²,
+  128² with diagonals and 256² grids over 36 atoms in the unit box (the
+  network is built outside the timed call);
+* the CLI report path at scale: ``tranship beckmann --grid 256x256`` over the
+  36-atom instance and ``tranship connect`` at 800 atoms, each through
+  ``tranship.cli.run`` with ``--out`` into a temporary directory.  Each of
+  the ``--repeats`` runs is one call in its own child process, which reports
+  the call's time, its peak RSS and the report's sha256; the case gives the
+  medians.
+
+Peak RSS is the child's ``ru_maxrss``.  A child started by vfork+exec
+inherits its parent's high-water mark, so the child cases run before the
+in-process cases grow this process; its resident set (numpy and the package,
+about 40 MiB) is still a floor under every child peak.
 
 The package is imported from ``PYTHONPATH``, so running the suite against
 two source trees compares them on the same instances.  The JSON result goes
-to standard output (and to ``--out``); the suite takes well under a minute.
+to standard output (and to ``--out``); the suite takes about a minute.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -31,11 +44,12 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 
-from tranship import beckmann, matchnorm
+from tranship import beckmann, cli, matchnorm
 from tranship.geom import Domain
 from tranship.measures import SignedAtomMeasure
 
@@ -43,6 +57,9 @@ LP_SIZES = (100, 160, 400)
 FLOW_SIZES = (100, 200, 400, 800)
 GRIDS = ((64, False), (128, True), (256, False))
 GRID_ATOMS = 36
+COMPLETE_SIZES = (100, 200)
+# command line -> atoms in its document
+CLI_CASES = (("beckmann --grid 256x256", GRID_ATOMS), ("connect", 800))
 MIB = float(1 << 20)
 
 
@@ -83,11 +100,50 @@ def lp_case(solver: str, n: int, seed: int, repeats: int) -> dict:
             "value": value, "peak_rss_mib": peak}
 
 
-def lp_case_in_child(solver: str, n: int, seed: int, repeats: int) -> dict:
-    argv = [sys.executable, os.path.abspath(__file__), "--child", f"{solver}@{n}",
+def in_child(case: str, seed: int, repeats: int) -> dict:
+    """Run ``--child CASE`` in a fresh interpreter and return its JSON."""
+    argv = [sys.executable, os.path.abspath(__file__), "--child", case,
             "--seed", str(seed), "--repeats", str(repeats)]
     out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
+
+
+def cli_case(command: str, n: int, seed: int) -> dict:
+    """One ``tranship.cli.run`` call in this process on the seeded n-atom
+    document in the unit box, with ``--out`` into a temporary directory."""
+    f = instance(n, seed)
+    doc = {
+        "version": 1,
+        "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "atoms": [{"point": p, "mass": m} for p, m in zip(f.points.tolist(), f.masses.tolist())],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path, out_path = os.path.join(tmp, "doc.json"), os.path.join(tmp, "report.json")
+        with open(doc_path, "w") as fh:
+            json.dump(doc, fh)
+        del doc, f  # the call's peak RSS should not count the instance
+        command, *flags = command.split()
+        argv = [command, doc_path, *flags, "--out", out_path]
+        start = time.perf_counter()
+        status = cli.run(argv)
+        elapsed = time.perf_counter() - start
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MIB
+        with open(out_path, "rb") as fh:
+            report = fh.read()
+    return {"exit": status, "time_s": elapsed, "peak_rss_mib": peak,
+            "report_mib": len(report) / MIB,
+            "report_sha256": hashlib.sha256(report).hexdigest(),
+            "value": json.loads(report)["values"]["cost"]}
+
+
+def cli_cases(seed: int, repeats: int):
+    for command, n in CLI_CASES:
+        runs = [in_child(f"cli:{command}@{n}", seed, 1) for _ in range(repeats)]
+        yield {"case": f"cli {command}", "atoms": n,
+               "time_s": statistics.median(r["time_s"] for r in runs),
+               "times_s": [r["time_s"] for r in runs],
+               "peak_rss_mib": statistics.median(r["peak_rss_mib"] for r in runs),
+               **{key: runs[0][key] for key in ("exit", "report_mib", "report_sha256", "value")}}
 
 
 def flow_cases(seed: int, repeats: int):
@@ -96,6 +152,12 @@ def flow_cases(seed: int, repeats: int):
         median, times, matching = timed(lambda: matchnorm.minimal_connection(f), repeats)
         yield {"case": "minimal_connection", "atoms": n, "time_s": median,
                "times_s": times, "value": matching.cost}
+    for n in COMPLETE_SIZES:
+        net = beckmann.complete_network(instance(n, seed))
+        median, times, flow = timed(lambda: beckmann.solve_beckmann(net), repeats)
+        yield {"case": "solve_beckmann", "graph": "complete", "atoms": n,
+               "edges": int(net.edges.shape[0]), "time_s": median,
+               "times_s": times, "value": flow.cost}
     domain = Domain(np.zeros(2), np.ones(2))
     f = instance(GRID_ATOMS, seed)
     for side, diagonals in GRIDS:
@@ -111,20 +173,27 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="timed calls per case")
     parser.add_argument("--seed", type=int, default=0, help="instance seed")
     parser.add_argument("--out", help="also write the JSON result here")
-    parser.add_argument("--child", help=argparse.SUPPRESS)  # SOLVER@ATOMS: one LP case
+    # one case in this process: SOLVER@ATOMS (an LP) or cli:COMMAND@ATOMS
+    parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.child:
-        solver, n = args.child.rsplit("@", 1)
-        print(json.dumps(lp_case(solver, int(n), args.seed, args.repeats)))
+        case, n = args.child.rsplit("@", 1)
+        if case.startswith("cli:"):
+            result = cli_case(case[len("cli:"):], int(n), args.seed)
+        else:
+            result = lp_case(case, int(n), args.seed, args.repeats)
+        print(json.dumps(result))
         return 0
     start = time.perf_counter()
     cases = [
-        lp_case_in_child(solver, n, args.seed, args.repeats)
+        in_child(f"{solver}@{n}", args.seed, args.repeats)
         for solver in LP_SOLVERS
         for n in LP_SIZES
     ]
+    # before the in-process cases raise this process's high-water mark
+    cases += cli_cases(args.seed, args.repeats)
     cases += flow_cases(args.seed, args.repeats)
     result = {
         "seed": args.seed,

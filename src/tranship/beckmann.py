@@ -162,10 +162,11 @@ def solve_beckmann(net: FlowNetwork) -> Flow:
     costs = np.concatenate([net.lengths, net.lengths])
     sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
     edge_flows = sol.arc_flows[:m] - sol.arc_flows[m:]
-    cost = 0.0
-    for flow, length in zip(edge_flows, net.lengths):
-        if flow != 0.0:
-            cost += abs(flow) * length
+    # cumsum adds strictly left to right and 0.0 + x == x, so its last entry
+    # has the bits of summing the carrying edges in order from 0.0
+    carrying = np.flatnonzero(edge_flows)
+    terms = np.abs(edge_flows[carrying]) * net.lengths[carrying]
+    cost = float(np.cumsum(terms)[-1]) if terms.size else 0.0
     edge_flows.setflags(write=False)
     return Flow(edge_flows=edge_flows, potentials=sol.potentials, cost=cost)
 
@@ -179,15 +180,13 @@ def flow_to_vector_measure(net: FlowNetwork, flow: Flow) -> StructuredVectorMeas
     reproduces the supply (+m at the source node i, -m at node j).  Its total
     variation equals the flow cost.
     """
-    segments = []
-    for (i, j), value, length in zip(net.edges, flow.edge_flows, net.lengths):
-        if value == 0.0:
-            continue
-        a = net.points[i]
-        b = net.points[j]
-        unit = (b - a) / length
-        segments.append((a, b, -value * unit))
-    return StructuredVectorMeasure.build(net.dim, segments=segments, validate=False)
+    carrying = np.flatnonzero(flow.edge_flows)
+    i, j = net.edges[carrying].T
+    a, b = net.points[i], net.points[j]
+    unit = (b - a) / net.lengths[carrying, None]
+    density = -flow.edge_flows[carrying, None] * unit
+    no_atoms = np.zeros((0, net.dim))
+    return StructuredVectorMeasure(net.dim, no_atoms, no_atoms, a, b, density, validate=False)
 
 
 # (dim, diagonals) -> anisotropy bound, the exact floats scipy's ConvexHull of

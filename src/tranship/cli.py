@@ -49,11 +49,19 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _records(names, rows) -> list:
+    """One dict per row, keyed by `names`; build the rows from ``.tolist()``
+    columns, which hold Python floats and ints, so no value is converted one
+    at a time."""
+    return [dict(zip(names, row)) for row in rows]
+
+
+def _float_rows(array) -> list:
+    return np.asarray(array, dtype=float).tolist()
+
+
 def _point_list(points, values) -> list:
-    return [
-        {"point": [float(c) for c in p], "value": float(v)}
-        for p, v in zip(points, values)
-    ]
+    return _records(("point", "value"), zip(_float_rows(points), _float_rows(values)))
 
 
 def _json_default(obj):
@@ -72,12 +80,22 @@ class _OutputError(Exception):
     """The output file could not be written."""
 
 
+_JSON_FORMAT = {"indent": 2, "sort_keys": True, "default": _json_default}
+
+
 def _emit(report: dict, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
-    if out_path:
-        _emit_bytes(text.encode(), out_path)
-    else:
-        sys.stdout.write(text)
+    """Write `report` as indented JSON.  A file is written as the encoder
+    produces it, so the whole text is never held in memory; the bytes are
+    those of ``json.dumps`` (ASCII, since ``ensure_ascii`` is on)."""
+    if not out_path:
+        sys.stdout.write(json.dumps(report, **_JSON_FORMAT) + "\n")
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            json.dump(report, fh, **_JSON_FORMAT)
+            fh.write("\n")
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def _emit_bytes(data: bytes, out_path):
@@ -119,10 +137,10 @@ def _cmd_connect(doc: ProblemDocument, args, report: dict) -> int:
     dual_value = float(np.sum(f.masses * potential))
     gap = abs(matching.cost - dual_value)
     report["values"]["cost"] = matching.cost
-    report["certificates"]["edges"] = [
-        {"source": [float(c) for c in s], "target": [float(c) for c in t], "mass": m}
-        for s, t, m in matching.edges
-    ]
+    report["certificates"]["edges"] = _records(
+        ("source", "target", "mass"),
+        ((s.tolist(), t.tolist(), m) for s, t, m in matching.edges),
+    )
     report["certificates"]["potential"] = _point_list(f.points, potential)
     report["residuals"]["duality_gap"] = gap
     report["residuals"]["slackness"] = _max_slackness(matching, f.points, potential)
@@ -177,11 +195,11 @@ def _cmd_beckmann(doc: ProblemDocument, args, report: dict) -> int:
     flow = bk.solve_beckmann(net)
     report["values"]["cost"] = flow.cost
     report["values"]["anisotropy_bound"] = bound
-    report["certificates"]["flows"] = [
-        {"i": int(i), "j": int(j), "flow": float(v)}
-        for (i, j), v in zip(net.edges, flow.edge_flows)
-        if v != 0.0
-    ]
+    carrying = np.flatnonzero(flow.edge_flows)
+    i, j = net.edges[carrying].T.tolist()
+    report["certificates"]["flows"] = _records(
+        ("i", "j", "flow"), zip(i, j, flow.edge_flows[carrying].tolist())
+    )
     report["certificates"]["potentials"] = _point_list(net.points, flow.potentials)
     worst_balance = _flow_balance_residual(net, flow)
     report["residuals"]["node_balance"] = worst_balance
@@ -249,18 +267,13 @@ def _cmd_decompose(doc: ProblemDocument, args, report: dict) -> int:
 def _serialize_divergence(f: Distribution) -> dict:
     nu = f.divergence_part
     out = {
-        "atoms": [
-            {"point": [float(c) for c in p], "vector": [float(c) for c in v]}
-            for p, v in zip(nu.atom_points, nu.atom_vectors)
-        ],
-        "segments": [
-            {
-                "a": [float(c) for c in a],
-                "b": [float(c) for c in b],
-                "density": [float(c) for c in d],
-            }
-            for a, b, d in zip(nu.seg_a, nu.seg_b, nu.seg_density)
-        ],
+        "atoms": _records(
+            ("point", "vector"), zip(_float_rows(nu.atom_points), _float_rows(nu.atom_vectors))
+        ),
+        "segments": _records(
+            ("a", "b", "density"),
+            zip(_float_rows(nu.seg_a), _float_rows(nu.seg_b), _float_rows(nu.seg_density)),
+        ),
     }
     converted = (
         divergence_as_measure(nu) if nu.cells is None else NotAMeasure("cells present")
@@ -268,10 +281,9 @@ def _serialize_divergence(f: Distribution) -> dict:
     if isinstance(converted, NotAMeasure):
         out["as_measure"] = None
     else:
-        out["as_measure"] = [
-            {"point": [float(c) for c in p], "mass": float(m)}
-            for p, m in zip(converted.points, converted.masses)
-        ]
+        out["as_measure"] = _records(
+            ("point", "mass"), zip(_float_rows(converted.points), _float_rows(converted.masses))
+        )
     return out
 
 
@@ -291,9 +303,7 @@ def _cmd_modulus(doc: ProblemDocument, args, report: dict) -> int:
         lines = ["eps,C,k"] + [f"{eps!r},{c},{k}" for eps, c, k in curve.samples]
         _emit_bytes(("\n".join(lines) + "\n").encode(), args.out)
         return EXIT_OK
-    report["values"]["table"] = [
-        {"eps": eps, "C": c, "k": k} for eps, c, k in curve.samples
-    ]
+    report["values"]["table"] = _records(("eps", "C", "k"), curve.samples)
     report["residuals"]["verified_margin"] = curve.verified_margin
     return EXIT_OK
 

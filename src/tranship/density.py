@@ -10,6 +10,7 @@ through :meth:`~tranship.geom.Grid.cell_indices`, the one binning rule.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +144,10 @@ def export(density: GridDensity, fmt: str) -> bytes:
 def _export_csv(density: GridDensity) -> bytes:
     grid = density.grid
     header = ",".join(["i", "j", "k"][: grid.dim] + ["mass"])
-    lines = [header]
-    arr = density.as_array()
-    for multi in np.ndindex(*grid.shape):
-        idx = ",".join(str(i) for i in multi)
-        lines.append(f"{idx},{float(arr[multi])!r}")
+    # itertools.product walks the indices in C order, the order of `masses`
+    axes = [[str(i) for i in range(n)] for n in grid.shape]
+    cells = map(",".join, itertools.product(*axes))
+    lines = [header] + [f"{idx},{mass!r}" for idx, mass in zip(cells, density.masses.tolist())]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -155,16 +155,17 @@ def _export_svg(density: GridDensity, cell_px: int = 16) -> bytes:
     nx, ny = density.grid.shape
     arr = density.as_array()
     peak = float(arr.max())
+    shade = arr / peak if peak != 0.0 else np.zeros_like(arr)
+    # np.rint rounds half to even, as Python's round does
+    levels = (255 - np.rint(255 * shade)).astype(int).tolist()
     width, height = nx * cell_px, ny * cell_px
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for i in range(nx):
-        for j in range(ny):
-            shade = 0.0 if peak == 0.0 else arr[i, j] / peak
-            level = 255 - int(round(255 * shade))
-            x = i * cell_px
+    for i, column in enumerate(levels):
+        x = i * cell_px
+        for j, level in enumerate(column):
             y = (ny - 1 - j) * cell_px
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
@@ -178,14 +179,10 @@ def _export_ascii(density: GridDensity) -> bytes:
     nx, ny = density.grid.shape
     arr = density.as_array()
     peak = float(arr.max())
-    lines = []
-    for j in range(ny - 1, -1, -1):
-        chars = []
-        for i in range(nx):
-            if peak == 0.0:
-                chars.append(" ")
-            else:
-                level = min(len(_ASCII_RAMP) - 1, int(len(_ASCII_RAMP) * arr[i, j] / peak))
-                chars.append(_ASCII_RAMP[level])
-        lines.append("".join(chars))
-    return ("\n".join(lines) + "\n").encode()
+    if peak == 0.0:
+        return ("\n".join([" " * nx] * ny) + "\n").encode()
+    # astype(int) truncates toward zero, as int() does
+    levels = np.minimum(len(_ASCII_RAMP) - 1, (len(_ASCII_RAMP) * arr / peak).astype(int))
+    # top line first: row j holds the cells (0, j) .. (nx - 1, j)
+    rows = levels.T[::-1].tolist()
+    return ("\n".join("".join(_ASCII_RAMP[v] for v in row) for row in rows) + "\n").encode()

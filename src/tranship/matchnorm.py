@@ -302,6 +302,10 @@ def _flat_norm_lp(f: SignedAtomMeasure, convention: str):
         return res, res.x[:n], res.x[n]
 
     res, u, _ = _row_generated(f.points, solve_max if convention == "max" else solve_sum)
+    if convention == "max" and f.balanced:
+        # u + c stays optimal while |u + c| <= 1; report the centred one, not
+        # whichever optimal vertex the solver reached
+        u = u - (np.max(u) + np.min(u)) / 2
     return float(-res.fun), u
 
 

@@ -6,9 +6,13 @@ nonnegative.  Each phase is one multi-source
 :func:`scipy.sparse.csgraph.dijkstra` from every node with excess, over the
 residual graph (forward arcs plus the canceling arcs of flow-carrying arcs)
 stored as a CSR of reduced costs clamped at 0, cheapest entry per ordered
-node pair.  Subtracting the distances from the potentials (the largest finite
-distance at nodes not reached) makes every arc of the shortest-path forest
-tight; the phase then augments along each forest path from a node with
+node pair.  The CSR is built once per solve, on the fixed pattern of every
+ordered pair that can ever hold a residual arc (each arc's pair and its
+reverse); a phase rewrites only its ``data``, with ``+inf`` in the slots that
+hold no residual arc, and Dijkstra never improves a label through an
+infinite edge.  Subtracting the distances from the potentials (the largest
+finite distance at nodes not reached) makes every arc of the shortest-path
+forest tight; the phase then augments along each forest path from a node with
 excess to a node with deficit (the primal-dual method of Ahuja, Magnanti &
 Orlin, *Network Flows*, 1993, chs. 9-10).  At termination the potentials are
 an optimal dual solution:
@@ -86,40 +90,56 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
     scale = float(np.sum(np.abs(supply)))
     eps = ZERO_SUPPLY_RTOL * max(scale, 1.0)
 
-    # Only the cheapest arc of each ordered pair carries flow.  The residual
-    # graph lives on the fixed sorted pattern `keys` of those pairs and their
-    # reverses, key = tail * n_nodes + head.
+    # Only the cheapest arc of each ordered pair carries flow; arc a of the
+    # solve is input arc cheapest[a].  The residual graph is one CSR on the
+    # fixed sorted pattern `keys` of those pairs and their reverses, key =
+    # tail * n_nodes + head; each phase rewrites only its data.  Arrays
+    # needed only to build it are dropped as soon as they are used.
     tail, head = arcs[:, 0], arcs[:, 1]
     pair = tail * n_nodes + head
     by_pair = np.lexsort((costs, pair))
     cheapest = by_pair[np.unique(pair[by_pair], return_index=True)[1]]
-    keys = np.union1d(pair[cheapest], head[cheapest] * n_nodes + tail[cheapest])
-    rows, cols = np.divmod(keys, n_nodes)
-    forward_slot = np.searchsorted(keys, pair[cheapest])
-    cancel_slot = np.searchsorted(keys, head * n_nodes + tail)
+    del by_pair
+    tail, head, cost = tail[cheapest], head[cheapest], costs[cheapest]
+    k = cheapest.size
+    forward_key = pair[cheapest]
+    del pair
+    cancel_key = head * n_nodes + tail
+    keys = np.union1d(forward_key, cancel_key)
+    forward_slot = np.searchsorted(keys, forward_key)
+    cancel_slot = np.searchsorted(keys, cancel_key)
+    del forward_key, cancel_key
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n_nodes, minlength=n_nodes), out=indptr[1:])
+    graph = csr_array(
+        (np.full(keys.size, np.inf), (keys % n_nodes).astype(np.int32), indptr),
+        shape=(n_nodes, n_nodes),
+    )
+    slot_cost = graph.data
+    # the arc each slot's entry stands for: k + a is the canceling arc of a
+    slot_arc = np.full(keys.size, -1)
+    slot_arc[forward_slot] = np.arange(k)
 
-    flow = np.zeros(m)
+    flow = np.zeros(k)
     potential = np.zeros(n_nodes)
     excess = supply.copy()
     max_rounds = _MAX_AUGMENTATIONS_FACTOR * (n_nodes + m + 1)
     rounds = 0
     while np.any(excess < -eps) and np.any(excess > eps):
         sources = np.flatnonzero(excess > eps)
-        # residual reduced costs clamped at 0, cheapest entry per slot; the
-        # canceling arc of flow-carrying arc a is entry m + a and wins ties
-        reduced_cost = costs - potential[tail] + potential[head]
-        slot_cost = np.full(keys.size, np.inf)
-        slot_arc = np.empty(keys.size, dtype=int)
-        slot_cost[forward_slot] = np.maximum(reduced_cost[cheapest], 0.0)
-        slot_arc[forward_slot] = cheapest
+        # residual reduced costs clamped at 0, +inf where no residual arc;
+        # the canceling arc of a flow-carrying arc wins ties
+        reduced_cost = cost - potential[tail] + potential[head]
+        slot_cost[forward_slot] = np.maximum(reduced_cost, 0.0)
         back = np.flatnonzero(flow > 0.0)
         cancel_cost = np.maximum(-reduced_cost[back], 0.0)
+        del reduced_cost
         wins = cancel_cost <= slot_cost[cancel_slot[back]]
-        slot_cost[cancel_slot[back[wins]]] = cancel_cost[wins]
-        slot_arc[cancel_slot[back[wins]]] = m + back[wins]
-        live = np.isfinite(slot_cost)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[live], minlength=n_nodes))])
-        graph = csr_array((slot_cost[live], cols[live], indptr), shape=(n_nodes, n_nodes))
+        back = back[wins]
+        won = cancel_slot[back]
+        slot_cost[won] = cancel_cost[wins]
+        replaced = slot_arc[won]
+        slot_arc[won] = k + back
 
         dist_lab, pred, root = dijkstra(
             graph, indices=sources, min_only=True, return_predecessors=True
@@ -138,9 +158,11 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
         tree_arc = np.full(n_nodes, -1)
         tree_key = pred[child].astype(int) * n_nodes + child
         tree_arc[child] = slot_arc[np.searchsorted(keys, tree_key)]
-        pred, root, tree_arc = pred.tolist(), root.tolist(), tree_arc.tolist()
-        for t in sinks.tolist():
-            s = root[t]
+        # back to the forward arcs only, as the next phase expects
+        slot_cost[won] = np.inf
+        slot_arc[won] = replaced
+        pred, tree_arc = pred.tolist(), tree_arc.tolist()
+        for t, s in zip(sinks.tolist(), root[sinks].tolist()):
             if excess[s] <= eps or excess[t] >= -eps:
                 continue
             path = []
@@ -150,15 +172,15 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
                 v = pred[v]
             delta = min(excess[s], -excess[t])
             for a in path:
-                if a >= m:
-                    delta = min(delta, flow[a - m])
+                if a >= k:
+                    delta = min(delta, flow[a - k])
             if delta <= 0.0:
                 continue
             for a in path:
-                if a < m:
+                if a < k:
                     flow[a] += delta
                 else:
-                    flow[a - m] = 0.0 if flow[a - m] == delta else flow[a - m] - delta
+                    flow[a - k] = 0.0 if flow[a - k] == delta else flow[a - k] - delta
             excess[s] = 0.0 if delta == excess[s] else excess[s] - delta
             excess[t] = 0.0 if delta == -excess[t] else excess[t] + delta
             rounds += 1
@@ -166,9 +188,13 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
                 raise VerificationError(
                     "augmentation limit exceeded; supplies may be numerically inconsistent"
                 )
+        # free this phase's arrays before the next phase allocates its own
+        del dist_lab, pred, root, tree_arc
 
+    arc_flows = np.zeros(m)
+    arc_flows[cheapest] = flow
     used = flow != 0.0
-    cost = math.fsum(flow[used] * costs[used])
-    flow.setflags(write=False)
+    total = math.fsum(flow[used] * cost[used])
+    arc_flows.setflags(write=False)
     potential.setflags(write=False)
-    return FlowSolution(arc_flows=flow, potentials=potential, cost=cost)
+    return FlowSolution(arc_flows=arc_flows, potentials=potential, cost=total)

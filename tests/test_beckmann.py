@@ -15,7 +15,12 @@ from tranship.beckmann import (
 from tranship.errors import InfeasibleFlowError, ValidationError
 from tranship.geom import Domain, dist
 from tranship.matchnorm import dual_potential, minimal_connection
-from tranship.measures import NotAMeasure, SignedAtomMeasure, divergence_as_measure
+from tranship.measures import (
+    NotAMeasure,
+    SignedAtomMeasure,
+    StructuredVectorMeasure,
+    divergence_as_measure,
+)
 from tranship.testing import random_balanced_measure
 
 
@@ -27,7 +32,28 @@ def path_network():
     return FlowNetwork(points, edges, lengths, supply)
 
 
+def seeded_networks():
+    """Complete and grid networks over seeded measures, and a zero-supply one."""
+    rng = np.random.default_rng(20261018)
+    domain = Domain([0.0, 0.0], [1.0, 1.0])
+    for k in range(6):
+        f = random_balanced_measure(rng, max_pairs=10)
+        yield complete_network(f)
+        yield grid_network(domain, (20, 17), f, diagonals=bool(k % 2))
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    yield FlowNetwork(points, np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0**0.5]), np.zeros(3))
+
+
 class TestSolve:
+    def test_cost_has_the_bits_of_the_edge_loop(self):
+        for net in seeded_networks():
+            flow = solve_beckmann(net)
+            cost = 0.0
+            for value, length in zip(flow.edge_flows, net.lengths):
+                if value != 0.0:
+                    cost += abs(value) * length
+            assert flow.cost.hex() == cost.hex()
+
     def test_path_graph(self):
         flow = solve_beckmann(path_network())
         assert flow.cost == 1.0
@@ -181,6 +207,20 @@ class TestFlowToVectorMeasure:
         net = FlowNetwork(points, np.array([[0, 1]]), np.array([1.0]), np.zeros(2))
         nu = flow_to_vector_measure(net, solve_beckmann(net))
         assert nu.is_empty
+
+    def test_equals_the_edge_loop(self):
+        for net in seeded_networks():
+            flow = solve_beckmann(net)
+            segments = []
+            for (i, j), value, length in zip(net.edges, flow.edge_flows, net.lengths):
+                if value != 0.0:
+                    a, b = net.points[i], net.points[j]
+                    segments.append((a, b, -value * ((b - a) / length)))
+            expected = StructuredVectorMeasure.build(net.dim, segments=segments, validate=False)
+            nu = flow_to_vector_measure(net, flow)
+            for name in ("atom_points", "atom_vectors", "seg_a", "seg_b", "seg_density"):
+                got, want = getattr(nu, name), getattr(expected, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_reconnection_measure_has_unit_segments(self, reconnection):
         net = complete_network(reconnection)

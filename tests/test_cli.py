@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tranship import cli
 from tranship.cli import run
 from tranship.document import load_document, parse_document
 from tranship.errors import ValidationError
@@ -331,3 +332,59 @@ class TestCommands:
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["connect", "doc.json", "--frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestReportWriting:
+    REPORT = {
+        "command": "beckmann",
+        "values": {"cost": np.float64(1.25), "count": np.int64(3), "ok": np.bool_(True)},
+        "certificates": {
+            "flows": np.array([[0.5, -0.0], [1e-300, 2.5e17]]),
+            "index": np.arange(3),
+            "nested": {"deeper": [{"empty": [], "none": {}}, [np.float32(0.5), None]]},
+        },
+        "residuals": {"nan": float("nan"), "pos": float("inf"), "neg": -np.inf},
+        "warnings": ["déjà vu ≈ \U0001f600"],
+    }
+
+    def test_file_has_the_bytes_of_json_dumps(self, tmp_path):
+        out = tmp_path / "report.json"
+        cli._emit(self.REPORT, str(out))
+        expected = json.dumps(
+            self.REPORT, indent=2, sort_keys=True, default=cli._json_default
+        ) + "\n"
+        assert out.read_bytes() == expected.encode()
+
+    def test_stdout_has_the_same_text(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        cli._emit(self.REPORT, str(out))
+        cli._emit(self.REPORT, None)
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("command", [["connect"], ["dual"], ["beckmann", "--grid", "2x2"]])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, UNIT_DIPOLE_DOC)
+        for out in (tmp_path / "missing_dir" / "x.json", tmp_path):
+            argv = [command[0], path, *command[1:], "--out", str(out)]
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("cannot write output: "), argv
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_records_equal_the_per_row_builders(self, dim):
+        rng = np.random.default_rng(dim)
+        points = rng.normal(size=(17, dim))
+        points[3] = -0.0
+        values = rng.normal(size=17) * 10.0 ** rng.integers(-300, 300, size=17)
+        assert cli._point_list(points, values) == [
+            {"point": [float(c) for c in p], "value": float(v)} for p, v in zip(points, values)
+        ]
+        vectors = rng.normal(size=(17, dim))
+        assert cli._records(
+            ("a", "b", "mass"), zip(points.tolist(), vectors.tolist(), values.tolist())
+        ) == [
+            {"a": [float(c) for c in a], "b": [float(c) for c in b], "mass": float(m)}
+            for a, b, m in zip(points, vectors, values)
+        ]
+        for got, want in zip(cli._point_list(points, values), (p.tolist() for p in points)):
+            assert all(type(c) is float for c in got["point"]) and got["point"] == want
+        assert cli._point_list(np.zeros((0, dim)), np.zeros(0)) == []

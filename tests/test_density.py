@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from tranship.density import GridDensity, export, rasterize_plan, rasterize_vector_measure
+from tranship.density import (
+    _ASCII_RAMP,
+    GridDensity,
+    export,
+    rasterize_plan,
+    rasterize_vector_measure,
+)
 from tranship.errors import ValidationError
 from tranship.genplan import plan_from_matching, split, to_vector_measure
 from tranship.geom import Domain, Grid, dist
@@ -151,6 +157,80 @@ class TestExport:
         body = export(density, "ascii").decode()
         assert body == " @\n"
 
+    def test_bytes_equal_the_cell_loops(self):
+        rng = np.random.default_rng(20261018)
+        box = Domain([0.0, 0.0], [1.0, 1.0])
+        densities = []
+        for shape in ((7, 5), (1, 9), (16, 16)):
+            n = shape[0] * shape[1]
+            sparse = rng.uniform(size=n) * (rng.uniform(size=n) < 0.3)
+            for masses in (rng.uniform(size=n), sparse, np.zeros(n)):
+                densities.append(GridDensity(grid=Grid(box, shape), masses=masses))
+        # shades and levels that fall exactly on a rounding or truncation edge
+        ties = np.array([0.0, 0.5, 1.0, 0.25, 0.1, 0.3, 0.7, 1.0 / 255, 0.5 / 255, 1.5 / 255])
+        densities.append(GridDensity(grid=Grid(box, (5, 2)), masses=ties))
+        for density in densities:
+            for fmt, reference in (("csv", csv_loop), ("svg", svg_loop), ("ascii", ascii_loop)):
+                assert export(density, fmt) == reference(density), fmt
+        grid = Grid(Domain([0.0] * 3, [1.0] * 3), (3, 4, 2))
+        density = GridDensity(grid=grid, masses=rng.uniform(size=24))
+        assert export(density, "csv") == csv_loop(density)
+
     def test_negative_masses_rejected(self):
         with pytest.raises(ValidationError):
             GridDensity(grid=UNIT_GRID_2x1, masses=np.array([-1.0, 0.0]))
+
+
+# The exporters as they were written cell by cell; the exporters must keep
+# their bytes.
+
+
+def csv_loop(density):
+    grid = density.grid
+    header = ",".join(["i", "j", "k"][: grid.dim] + ["mass"])
+    lines = [header]
+    arr = density.as_array()
+    for multi in np.ndindex(*grid.shape):
+        idx = ",".join(str(i) for i in multi)
+        lines.append(f"{idx},{float(arr[multi])!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def svg_loop(density, cell_px=16):
+    nx, ny = density.grid.shape
+    arr = density.as_array()
+    peak = float(arr.max())
+    width, height = nx * cell_px, ny * cell_px
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    ]
+    for i in range(nx):
+        for j in range(ny):
+            shade = 0.0 if peak == 0.0 else arr[i, j] / peak
+            level = 255 - int(round(255 * shade))
+            x = i * cell_px
+            y = (ny - 1 - j) * cell_px
+            parts.append(
+                f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
+                f'fill="rgb({level},{level},{level})"/>'
+            )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode()
+
+
+def ascii_loop(density):
+    nx, ny = density.grid.shape
+    arr = density.as_array()
+    peak = float(arr.max())
+    lines = []
+    for j in range(ny - 1, -1, -1):
+        chars = []
+        for i in range(nx):
+            if peak == 0.0:
+                chars.append(" ")
+            else:
+                level = min(len(_ASCII_RAMP) - 1, int(len(_ASCII_RAMP) * arr[i, j] / peak))
+                chars.append(_ASCII_RAMP[level])
+        lines.append("".join(chars))
+    return ("\n".join(lines) + "\n").encode()

@@ -393,6 +393,23 @@ class TestFlatNorm:
             _, dual_value = dual_potential(f)
             assert flat_norm(f, "max") <= dual_value + 1e-7 * max(1.0, dual_value)
 
+    def test_max_potential_is_centred(self):
+        # a balanced measure's potential is fixed only up to a constant; the
+        # reported one has max u == -min u (up to the shift's roundoff) and
+        # still meets the offline check's feasibility rule for `max`
+        rng = np.random.default_rng(20261018)
+        for _ in range(10):
+            f = random_balanced_measure(rng, max_pairs=12)
+            value, u = matchnorm._flat_norm_lp(f, "max")
+            top, bottom = float(np.max(u)), float(np.min(u))
+            assert abs(top + bottom) <= 4 * np.finfo(float).eps, (top, bottom)
+            tol = 1e-9 + 1e-7 * max(1.0, abs(value))
+            d = dists(f.points[:, None], f.points[None])
+            off = d > 0.0
+            assert np.max(np.abs(u)) <= 1.0 + tol
+            assert np.max(np.abs(u[:, None] - u[None])[off] / d[off]) <= 1.0 + tol
+            assert abs(float(np.dot(f.masses, u)) - value) <= tol
+
     def test_unknown_convention_rejected(self, unit_dipole):
         with pytest.raises(ValidationError):
             flat_norm(unit_dipole, "median")

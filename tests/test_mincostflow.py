@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -147,6 +148,51 @@ class TestCertificates:
             arcs, costs = both_directions(net)
             sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
             assert_certified(net.n_nodes, arcs, costs, net.supply, sol)
+
+
+# sha256 of arc_flows.tobytes() and potentials.tobytes(), recorded from the
+# solver before its residual graph became one fixed-pattern CSR per solve; a
+# change to the phase loop must keep every bit
+PINNED = {
+    ("bipartite", 3): (
+        "cc81c48fe9bb2e15fee9016919fd503c1e6ecc2e35a2b4bbcf94c6dfec85dc53",
+        "a754d771c215978beb3c481bf7c3772e36dcd18102d903cfd563e0054f1871d6",
+    ),
+    ("bipartite", 17): (
+        "7dd8c3d07ef46e9c4984c8c663e447a215af7bcd31a79121d2b8e2b7c668dafd",
+        "4e091898573cf63aeef2ad8dcc223f267a92cd475a3a941811613f45eeab9b17",
+    ),
+    ("bipartite", 29): (
+        "3742909c79d3067bc9204b19218269f94af12266f777ef57546858f0d896763e",
+        "969a3a534cadf6f3ef496c689c698308155007c2f420daeccf96899b4d1d0f23",
+    ),
+    ("grid", 5): (
+        "bee49898da1e3099dcedad5de33615c9aff770a7e0b24b7c4b208fb2834e4ca4",
+        "f40c15502d95a7cf34a3a3ce1c03bcd9ca1ab9d6be679aa2d2683825b5925fc5",
+    ),
+    ("grid-diagonals", 8): (
+        "4376578fbd051e63d9547aefd7d4aa8c9310463f7acd203092a727795e9c5b2b",
+        "a4ced7e59aff5ec152ed410794c68d9e02cf69afc035bd50c7ec1ab1f158789c",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(PINNED))
+def test_solutions_keep_their_bits(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "bipartite":
+        n, arcs, costs, supply = bipartite(random_balanced_measure(rng, max_pairs=20))
+    else:
+        f = random_balanced_measure(rng, max_pairs=10)
+        net = grid_network(
+            Domain([0.0, 0.0], [1.0, 1.0]), (24, 20), f, diagonals=kind == "grid-diagonals"
+        )
+        n, (arcs, costs), supply = net.n_nodes, both_directions(net), net.supply
+    sol = solve_min_cost_flow(n, arcs, costs, supply)
+    digests = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest() for a in (sol.arc_flows, sol.potentials)
+    )
+    assert digests == PINNED[kind, seed]
 
 
 def test_three_routes_agree_at_210_atoms():
