@@ -8,9 +8,14 @@ positive and half negative, distinct masses) and times the solver call alone,
 ``--repeats`` times after one untimed warm-up call; the reported time is the
 median.  Cases:
 
+* start-up: a fresh ``python -m tranship.cli --help`` and a fresh
+  ``python -m tranship.cli connect`` on a 100-atom document, ``--repeats``
+  processes each.  The case gives the median wall time and the median child
+  peak RSS;
 * ``dual_potential`` and ``flat_norm`` (``max`` and ``sum``) at 100 / 160 /
-  400 atoms.  Each runs in its own child process, which also reports its
-  peak RSS (numpy and scipy included);
+  400 atoms.  Each of the ``--repeats`` runs is one timed call after a
+  warm-up call in its own child process, which also reports its peak RSS
+  (numpy and scipy included); the case gives the medians;
 * ``minimal_connection`` at 100 / 200 / 400 / 800 atoms;
 * ``solve_beckmann`` on the complete graph at 100 / 200 atoms, and on 64²,
   128² with diagonals and 256² grids over 36 atoms in the unit box (the
@@ -25,7 +30,9 @@ median.  Cases:
 Peak RSS is the child's ``ru_maxrss``.  A child started by vfork+exec
 inherits its parent's high-water mark, so the child cases run before the
 in-process cases grow this process; its resident set (numpy and the package,
-about 40 MiB) is still a floor under every child peak.
+about 40 MiB) is still a floor under every child peak.  The start-up
+processes are started by a small launcher that imports no numpy, so their
+floor is a bare interpreter's.
 
 The package is imported from ``PYTHONPATH``, so running the suite against
 two source trees compares them on the same instances.  The JSON result goes
@@ -60,6 +67,7 @@ GRID_ATOMS = 36
 COMPLETE_SIZES = (100, 200)
 # command line -> atoms in its document
 CLI_CASES = (("beckmann --grid 256x256", GRID_ATOMS), ("connect", 800))
+STARTUP_CASES = (("--help", 0), ("connect", 100))
 MIB = float(1 << 20)
 
 
@@ -91,59 +99,108 @@ LP_SOLVERS = {
 }
 
 
-def lp_case(solver: str, n: int, seed: int, repeats: int) -> dict:
-    """One LP case in this process; run it in a fresh child for its RSS."""
+def lp_case(solver: str, n: int, seed: int) -> dict:
+    """One timed LP call after a warm-up call in this process; run it in a
+    fresh child for its RSS."""
     f = instance(n, seed)
-    median, times, value = timed(lambda: LP_SOLVERS[solver](f), repeats)
+    elapsed, _times, value = timed(lambda: LP_SOLVERS[solver](f), 1)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MIB
-    return {"case": solver, "atoms": n, "time_s": median, "times_s": times,
-            "value": value, "peak_rss_mib": peak}
+    return {"case": solver, "atoms": n, "time_s": elapsed, "value": value, "peak_rss_mib": peak}
 
 
-def in_child(case: str, seed: int, repeats: int) -> dict:
+def in_child(case: str, seed: int) -> dict:
     """Run ``--child CASE`` in a fresh interpreter and return its JSON."""
-    argv = [sys.executable, os.path.abspath(__file__), "--child", case,
-            "--seed", str(seed), "--repeats", str(repeats)]
+    argv = [sys.executable, os.path.abspath(__file__), "--child", case, "--seed", str(seed)]
     out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
-def cli_case(command: str, n: int, seed: int) -> dict:
-    """One ``tranship.cli.run`` call in this process on the seeded n-atom
-    document in the unit box, with ``--out`` into a temporary directory."""
+def medians(runs: list) -> dict:
+    """One case from runs in separate processes: the median time and peak
+    RSS, and the other entries, which every run must reproduce."""
+    timed_keys = ("time_s", "peak_rss_mib")
+    fixed = [{k: v for k, v in run.items() if k not in timed_keys} for run in runs]
+    if any(entries != fixed[0] for entries in fixed):
+        raise RuntimeError(f"runs of one case disagree: {fixed}")
+    return {**fixed[0],
+            "time_s": statistics.median(run["time_s"] for run in runs),
+            "times_s": [run["time_s"] for run in runs],
+            "peak_rss_mib": statistics.median(run["peak_rss_mib"] for run in runs)}
+
+
+def write_document(path: str, n: int, seed: int):
+    """The seeded n-atom instance as a document in the unit box."""
     f = instance(n, seed)
     doc = {
         "version": 1,
         "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
         "atoms": [{"point": p, "mass": m} for p, m in zip(f.points.tolist(), f.masses.tolist())],
     }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def cli_case(command: str, n: int, seed: int) -> dict:
+    """One ``tranship.cli.run`` call in this process on the seeded n-atom
+    document in the unit box, with ``--out`` into a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         doc_path, out_path = os.path.join(tmp, "doc.json"), os.path.join(tmp, "report.json")
-        with open(doc_path, "w") as fh:
-            json.dump(doc, fh)
-        del doc, f  # the call's peak RSS should not count the instance
-        command, *flags = command.split()
-        argv = [command, doc_path, *flags, "--out", out_path]
+        write_document(doc_path, n, seed)
+        name, *flags = command.split()
+        argv = [name, doc_path, *flags, "--out", out_path]
         start = time.perf_counter()
         status = cli.run(argv)
         elapsed = time.perf_counter() - start
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MIB
         with open(out_path, "rb") as fh:
             report = fh.read()
-    return {"exit": status, "time_s": elapsed, "peak_rss_mib": peak,
-            "report_mib": len(report) / MIB,
+    return {"case": f"cli {command}", "atoms": n, "exit": status,
+            "time_s": elapsed, "peak_rss_mib": peak, "report_mib": len(report) / MIB,
             "report_sha256": hashlib.sha256(report).hexdigest(),
             "value": json.loads(report)["values"]["cost"]}
 
 
-def cli_cases(seed: int, repeats: int):
-    for command, n in CLI_CASES:
-        runs = [in_child(f"cli:{command}@{n}", seed, 1) for _ in range(repeats)]
-        yield {"case": f"cli {command}", "atoms": n,
-               "time_s": statistics.median(r["time_s"] for r in runs),
-               "times_s": [r["time_s"] for r in runs],
-               "peak_rss_mib": statistics.median(r["peak_rss_mib"] for r in runs),
-               **{key: runs[0][key] for key in ("exit", "report_mib", "report_sha256", "value")}}
+def child_cases(seed: int, repeats: int):
+    """The LP and CLI cases, `repeats` fresh children each."""
+    cases = [f"{solver}@{n}" for solver in LP_SOLVERS for n in LP_SIZES]
+    cases += [f"cli:{command}@{n}" for command, n in CLI_CASES]
+    for case in cases:
+        yield medians([in_child(case, seed) for _ in range(repeats)])
+
+
+# runs ARGV_JSON REPEATS times, one fresh process each, and prints per run
+# the exit code, wall time and the process's own peak RSS from wait4
+LAUNCHER = """\
+import json, os, subprocess, sys, time
+argv, runs = json.loads(sys.argv[1]), []
+for _ in range(int(sys.argv[2])):
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    runs.append({"exit": proc.returncode, "time_s": time.perf_counter() - start,
+                 "peak_rss_mib": usage.ru_maxrss / 1024.0})
+print(json.dumps(runs))
+"""
+
+
+def startup_cases(seed: int, repeats: int):
+    """Fresh ``python -m tranship.cli`` processes, as a user starts them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, n in STARTUP_CASES:
+            argv = [sys.executable, "-m", "tranship.cli", command]
+            out_path = os.path.join(tmp, "report.json")
+            if n:
+                doc_path = os.path.join(tmp, "doc.json")
+                write_document(doc_path, n, seed)
+                argv += [doc_path, "--out", out_path]
+            launcher = [sys.executable, "-c", LAUNCHER, json.dumps(argv), str(repeats)]
+            out = subprocess.run(launcher, check=True, capture_output=True, text=True).stdout
+            case = {"case": f"startup {command}", "atoms": n, **medians(json.loads(out))}
+            if n:
+                with open(out_path) as fh:
+                    case["value"] = json.load(fh)["values"]["cost"]
+            yield case
 
 
 def flow_cases(seed: int, repeats: int):
@@ -170,7 +227,7 @@ def flow_cases(seed: int, repeats: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3, help="timed calls per case")
+    parser.add_argument("--repeats", type=int, default=3, help="timed runs per case")
     parser.add_argument("--seed", type=int, default=0, help="instance seed")
     parser.add_argument("--out", help="also write the JSON result here")
     # one case in this process: SOLVER@ATOMS (an LP) or cli:COMMAND@ATOMS
@@ -183,17 +240,13 @@ def main(argv=None) -> int:
         if case.startswith("cli:"):
             result = cli_case(case[len("cli:"):], int(n), args.seed)
         else:
-            result = lp_case(case, int(n), args.seed, args.repeats)
+            result = lp_case(case, int(n), args.seed)
         print(json.dumps(result))
         return 0
     start = time.perf_counter()
-    cases = [
-        in_child(f"{solver}@{n}", args.seed, args.repeats)
-        for solver in LP_SOLVERS
-        for n in LP_SIZES
-    ]
+    cases = list(startup_cases(args.seed, args.repeats))
     # before the in-process cases raise this process's high-water mark
-    cases += cli_cases(args.seed, args.repeats)
+    cases += child_cases(args.seed, args.repeats)
     cases += flow_cases(args.seed, args.repeats)
     result = {
         "seed": args.seed,

@@ -4,6 +4,12 @@ One JSON document in, one JSON report out (densities may instead emit
 csv/svg/ascii).  Reports are deterministic: identical input files and flags
 produce byte-identical output.  Exit codes: 0 success, 2 validation failure,
 3 infeasible, 4 tolerance/verification failure.
+
+At module level this imports only the standard library and ``.errors``.
+Numpy, the document parser and the solver modules are imported inside the
+handler or helper that uses them, so ``--help`` and argument errors never
+load numpy, and each command loads only what it runs.  ``main`` defaults
+OpenBLAS to one thread before numpy loads.
 """
 
 from __future__ import annotations
@@ -11,20 +17,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import beckmann as bk
-from . import density as dens
-from . import matchnorm as mn
-from . import sharpspace as sharp
-from .document import ProblemDocument, load_document
 from .errors import InfeasibleFlowError, TranshipError, ValidationError, VerificationError
-from .genplan import plan_from_matching, to_vector_measure, verify_projection
-from .geom import Grid, dists
-from .measures import Distribution, NotAMeasure, divergence_as_measure, pair
+
+if TYPE_CHECKING:
+    from .document import ProblemDocument
+    from .measures import Distribution
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,6 +59,8 @@ def _records(names, rows) -> list:
 
 
 def _float_rows(array) -> list:
+    import numpy as np
+
     return np.asarray(array, dtype=float).tolist()
 
 
@@ -65,6 +69,8 @@ def _point_list(points, values) -> list:
 
 
 def _json_default(obj):
+    import numpy as np
+
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
@@ -131,6 +137,10 @@ def _base_report(command: str, path: str) -> dict:
 
 
 def _cmd_connect(doc: ProblemDocument, args, report: dict) -> int:
+    import numpy as np
+
+    from . import matchnorm as mn
+
     f = doc.atom_distribution(report["warnings"]).measure_part
     matching = mn.minimal_connection(f)
     potential = matching.potential
@@ -152,6 +162,10 @@ def _cmd_connect(doc: ProblemDocument, args, report: dict) -> int:
 def _max_slackness(matching, points, potential) -> float:
     """Largest |u(s) - u(t) - |s - t|| over the matching edges, with u given
     by its values at `points`."""
+    import numpy as np
+
+    from .geom import dists
+
     worst = 0.0
     if not matching.edges:
         return worst
@@ -166,6 +180,8 @@ def _max_slackness(matching, points, potential) -> float:
 
 
 def _cmd_dual(doc: ProblemDocument, args, report: dict) -> int:
+    from . import matchnorm as mn
+
     f = doc.atom_distribution(report["warnings"]).measure_part
     potential, value = mn.dual_potential(f)
     report["values"]["value"] = value
@@ -175,6 +191,8 @@ def _cmd_dual(doc: ProblemDocument, args, report: dict) -> int:
 
 
 def _cmd_flatnorm(doc: ProblemDocument, args, report: dict) -> int:
+    from . import matchnorm as mn
+
     f = doc.atom_distribution(report["warnings"]).measure_part
     value, u = mn._flat_norm_lp(f, args.convention)
     report["values"]["value"] = value
@@ -184,6 +202,10 @@ def _cmd_flatnorm(doc: ProblemDocument, args, report: dict) -> int:
 
 
 def _cmd_beckmann(doc: ProblemDocument, args, report: dict) -> int:
+    import numpy as np
+
+    from . import beckmann as bk
+
     f = doc.atom_distribution(report["warnings"]).measure_part
     if args.grid:
         resolution = _parse_grid_spec(args.grid, doc.domain.dim)
@@ -207,6 +229,8 @@ def _cmd_beckmann(doc: ProblemDocument, args, report: dict) -> int:
 
 
 def _flow_balance_residual(net, flow) -> float:
+    import numpy as np
+
     # edge by edge, +v at its first node then -v at its second, onto -supply
     balance = -net.supply
     v = flow.edge_flows
@@ -215,6 +239,8 @@ def _flow_balance_residual(net, flow) -> float:
 
 
 def _cmd_plan_check(doc: ProblemDocument, args, report: dict) -> int:
+    from .genplan import verify_projection
+
     if doc.plan is None:
         raise ValidationError("plan-check requires a 'plan' section")
     f = doc.full_distribution(report["warnings"])
@@ -232,6 +258,11 @@ def _cmd_plan_check(doc: ProblemDocument, args, report: dict) -> int:
 def _cmd_density(doc: ProblemDocument, args, report: dict) -> int:
     """Rasterize, in order of precedence: the document's plan, its vector
     measure, or the optimal matching of its atoms."""
+    from . import density as dens
+    from . import matchnorm as mn
+    from .genplan import to_vector_measure
+    from .geom import Grid
+
     if not args.grid:
         raise ValidationError("density requires --grid RxC[xD]")
     resolution = _parse_grid_spec(args.grid, doc.domain.dim)
@@ -250,6 +281,8 @@ def _cmd_density(doc: ProblemDocument, args, report: dict) -> int:
 
 
 def _cmd_decompose(doc: ProblemDocument, args, report: dict) -> int:
+    from . import sharpspace as sharp
+
     nu = doc.vector_measure
     if nu.is_empty:
         raise ValidationError("decompose requires segments/vector_atoms/cells")
@@ -265,6 +298,8 @@ def _cmd_decompose(doc: ProblemDocument, args, report: dict) -> int:
 
 
 def _serialize_divergence(f: Distribution) -> dict:
+    from .measures import NotAMeasure, divergence_as_measure
+
     nu = f.divergence_part
     out = {
         "atoms": _records(
@@ -288,6 +323,8 @@ def _serialize_divergence(f: Distribution) -> dict:
 
 
 def _cmd_modulus(doc: ProblemDocument, args, report: dict) -> int:
+    from . import sharpspace as sharp
+
     if doc.dipoles is None:
         raise ValidationError("modulus requires a 'dipoles' section")
     eps_list = doc.options.get("eps")
@@ -308,119 +345,17 @@ def _cmd_modulus(doc: ProblemDocument, args, report: dict) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Built-in verification suites.
-
-_GOLDEN = {
-    "reconnection_cost": 2.0,
-    "unit_dipole_cost": 1.0,
-}
-
-
-def _suite_duality(seed: int, golden: dict) -> dict:
-    from .testing import random_balanced_measure
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(25):
-        f = random_balanced_measure(rng, max_pairs=8)
-        matching = mn.minimal_connection(f)
-        _, dual_value = mn.dual_potential(f)
-        flow = bk.solve_beckmann(bk.complete_network(f))
-        scale = max(1.0, matching.cost)
-        worst = max(
-            worst,
-            abs(matching.cost - dual_value) / scale,
-            abs(matching.cost - flow.cost) / scale,
-        )
-    rec = mn.minimal_connection(
-        _reconnection_measure()
-    )
-    gap = abs(rec.cost - golden["reconnection_cost"])
-    return {"max_rel_gap": worst, "golden_gap": gap, "passed": worst <= 1e-7 and gap <= 1e-12}
-
-
-def _reconnection_measure():
-    from .measures import SignedAtomMeasure
-
-    return SignedAtomMeasure.from_atoms(
-        [((0.0, 0.0), 1.0), ((10.0, 0.0), -1.0), ((10.0, 1.0), 1.0), ((0.0, 1.0), -1.0)]
-    )
-
-
-def _suite_oracle(seed: int, golden: dict) -> dict:
-    from .testing import random_unit_dipole_measure
-
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    for _ in range(50):
-        f = random_unit_dipole_measure(rng, max_pairs=6)
-        if mn.minimal_connection(f).cost != mn.brute_force_connection(f):
-            mismatches += 1
-    single = mn.minimal_connection(
-        _unit_dipole_measure()
-    ).cost
-    gap = abs(single - golden["unit_dipole_cost"])
-    return {"mismatches": mismatches, "golden_gap": gap, "passed": mismatches == 0 and gap <= 1e-12}
-
-
-def _unit_dipole_measure():
-    from .measures import SignedAtomMeasure
-
-    return SignedAtomMeasure.from_atoms([((0.0, 0.0), 1.0), ((1.0, 0.0), -1.0)])
-
-
-def _suite_raster(seed: int, golden: dict) -> dict:
-    from .geom import Domain
-    from .testing import random_balanced_measure
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(10):
-        f = random_balanced_measure(rng, max_pairs=8)
-        matching = mn.minimal_connection(f)
-        grid = Grid(Domain.from_geometry(f.points), (32, 32))
-        result = dens.rasterize_plan(matching, grid)
-        worst = max(worst, abs(result.total - matching.cost) / max(1.0, matching.cost))
-    return {"max_rel_gap": worst, "passed": worst <= 1e-12}
-
-
-def _suite_roundtrip(seed: int, golden: dict) -> dict:
-    from .funcs import polynomial_family
-    from .testing import random_balanced_measure
-
-    rng = np.random.default_rng(seed)
-    family = polynomial_family(2, 3)
-    worst = 0.0
-    for _ in range(10):
-        f = random_balanced_measure(rng, max_pairs=6)
-        matching = mn.minimal_connection(f)
-        plan = plan_from_matching(matching)
-        nu = to_vector_measure(plan)
-        f_dist = Distribution.from_measure(f)
-        div_dist = Distribution.from_divergence(nu)
-        for func in family:
-            worst = max(worst, abs(pair(div_dist, func) - pair(f_dist, func)))
-    return {"max_residual": worst, "passed": worst <= 1e-10}
-
-
-_SUITES = {
-    "duality": _suite_duality,
-    "oracle": _suite_oracle,
-    "raster": _suite_raster,
-    "roundtrip": _suite_roundtrip,
-}
-
-
 def _cmd_selftest(args) -> int:
-    golden = dict(_GOLDEN)
+    from .testing import GOLDEN, SUITES
+
+    golden = dict(GOLDEN)
     if args.inject_fault:
         if args.inject_fault not in golden:
             raise ValidationError(f"unknown fault target {args.inject_fault!r}")
         golden[args.inject_fault] += 1e-3
-    names = [n for n in _SUITES if args.filter is None or args.filter == n]
+    names = [n for n in SUITES if args.filter is None or args.filter == n]
     if not names:
-        raise ValidationError(f"--filter matched no suite (have {sorted(_SUITES)})")
+        raise ValidationError(f"--filter matched no suite (have {sorted(SUITES)})")
     report = {
         "command": "selftest",
         "input_digest": None,
@@ -431,7 +366,7 @@ def _cmd_selftest(args) -> int:
     }
     all_passed = True
     for name in names:
-        result = _SUITES[name](args.seed, golden)
+        result = SUITES[name](args.seed, golden)
         report["values"][name] = result
         all_passed = all_passed and result["passed"]
     _emit(report, args.out)
@@ -486,6 +421,8 @@ def run(argv) -> int:
             return _cmd_selftest(args)
         if not args.document:
             raise ValidationError(f"{args.command} requires a document path")
+        from .document import load_document
+
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             doc = load_document(args.document)
@@ -519,6 +456,11 @@ def run(argv) -> int:
 
 
 def main():
+    """Console entry point.  Numpy and scipy each start an OpenBLAS thread
+    pool when they load, and no solver makes a BLAS call large enough to
+    split, so one thread is the default; a value already in the environment
+    is kept.  ``run`` leaves the environment alone."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

@@ -313,13 +313,13 @@ class TestCommands:
     def test_infeasible_exit_code(self, tmp_path, monkeypatch):
         # grid and complete networks are connected by construction, so force
         # the infeasible path through the runner with a solver stub
-        import tranship.cli as cli_mod
+        from tranship import beckmann
         from tranship.errors import InfeasibleFlowError
 
         def broken_solver(net):
             raise InfeasibleFlowError("forced for the exit-code contract")
 
-        monkeypatch.setattr(cli_mod.bk, "solve_beckmann", broken_solver)
+        monkeypatch.setattr(beckmann, "solve_beckmann", broken_solver)
         path = write_doc(tmp_path, UNIT_DIPOLE_DOC, name="inf.json")
         assert run(["beckmann", path]) == 3
 
