@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geom import Domain, Grid, dists
+from .geom import Domain, Grid, dists, ordered_sum
 from .measures import BALANCE_RTOL, SignedAtomMeasure, StructuredVectorMeasure
 from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow
 
@@ -162,11 +162,8 @@ def solve_beckmann(net: FlowNetwork) -> Flow:
     costs = np.concatenate([net.lengths, net.lengths])
     sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
     edge_flows = sol.arc_flows[:m] - sol.arc_flows[m:]
-    # cumsum adds strictly left to right and 0.0 + x == x, so its last entry
-    # has the bits of summing the carrying edges in order from 0.0
     carrying = np.flatnonzero(edge_flows)
-    terms = np.abs(edge_flows[carrying]) * net.lengths[carrying]
-    cost = float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    cost = ordered_sum(np.abs(edge_flows[carrying]) * net.lengths[carrying])
     edge_flows.setflags(write=False)
     return Flow(edge_flows=edge_flows, potentials=sol.potentials, cost=cost)
 

@@ -33,6 +33,9 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFICATION = 4
 
+# the --format values a command accepts; the others ignore the flag
+_FORMATS = {"density": ("csv", "svg", "ascii"), "modulus": ("csv", "json")}
+
 _COMMANDS = (
     "connect",
     "dual",
@@ -125,10 +128,10 @@ def _parse_grid_spec(spec: str, dim: int):
         raise ValidationError(f"bad grid spec {spec!r}") from exc
 
 
-def _base_report(command: str, path: str) -> dict:
+def _base_report(command: str, digest) -> dict:
     return {
         "command": command,
-        "input_digest": _digest(path),
+        "input_digest": digest,
         "values": {},
         "certificates": {},
         "residuals": {},
@@ -143,40 +146,32 @@ def _cmd_connect(doc: ProblemDocument, args, report: dict) -> int:
 
     f = doc.atom_distribution(report["warnings"]).measure_part
     matching = mn.minimal_connection(f)
-    potential = matching.potential
-    dual_value = float(np.sum(f.masses * potential))
+    points, (i, j) = matching.points, matching.edges.T
+    dual_value = float(np.sum(f.masses * matching.potential))
     gap = abs(matching.cost - dual_value)
     report["values"]["cost"] = matching.cost
     report["certificates"]["edges"] = _records(
         ("source", "target", "mass"),
-        ((s.tolist(), t.tolist(), m) for s, t, m in matching.edges),
+        zip(_float_rows(points[i]), _float_rows(points[j]), matching.masses.tolist()),
     )
-    report["certificates"]["potential"] = _point_list(f.points, potential)
+    report["certificates"]["potential"] = _point_list(points, matching.potential)
     report["residuals"]["duality_gap"] = gap
-    report["residuals"]["slackness"] = _max_slackness(matching, f.points, potential)
+    report["residuals"]["slackness"] = _max_slackness(matching)
     if gap > args.tol_abs + args.tol_rel * max(1.0, abs(matching.cost)):
         return EXIT_VERIFICATION
     return EXIT_OK
 
 
-def _max_slackness(matching, points, potential) -> float:
-    """Largest |u(s) - u(t) - |s - t|| over the matching edges, with u given
-    by its values at `points`."""
+def _max_slackness(matching) -> float:
+    """Largest |u(s) - u(t) - |s - t|| over the matching edges from atom s
+    to atom t, with u the matching's potential."""
     import numpy as np
 
     from .geom import dists
 
-    worst = 0.0
-    if not matching.edges:
-        return worst
-    values = dict(zip(map(tuple, points), potential.tolist()))
-    sources, targets, _masses = zip(*matching.edges)
-    lengths = dists(np.array(sources), np.array(targets))
-    for source, target, length in zip(sources, targets, lengths):
-        u_s = values[tuple(source)]
-        u_t = values[tuple(target)]
-        worst = max(worst, abs(u_s - u_t - length))
-    return float(worst)
+    i, j = matching.edges.T
+    u, points = matching.potential, matching.points
+    return float(np.max(np.abs(u[i] - u[j] - dists(points[i], points[j])), initial=0.0))
 
 
 def _cmd_dual(doc: ProblemDocument, args, report: dict) -> int:
@@ -356,14 +351,7 @@ def _cmd_selftest(args) -> int:
     names = [n for n in SUITES if args.filter is None or args.filter == n]
     if not names:
         raise ValidationError(f"--filter matched no suite (have {sorted(SUITES)})")
-    report = {
-        "command": "selftest",
-        "input_digest": None,
-        "values": {},
-        "certificates": {},
-        "residuals": {},
-        "warnings": [],
-    }
+    report = _base_report("selftest", None)
     all_passed = True
     for name in names:
         result = SUITES[name](args.seed, golden)
@@ -417,6 +405,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
+        formats = _FORMATS.get(args.command)
+        if formats and args.format not in formats:
+            raise ValidationError(
+                f"{args.command} --format must be one of {', '.join(formats)}, got {args.format!r}"
+            )
         if args.command == "selftest":
             return _cmd_selftest(args)
         if not args.document:
@@ -426,7 +419,7 @@ def run(argv) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             doc = load_document(args.document)
-            report = _base_report(args.command, args.document)
+            report = _base_report(args.command, _digest(args.document))
             status = _HANDLERS[args.command](doc, args, report)
             for w in caught:
                 report["warnings"].append(str(w.message))

@@ -61,10 +61,10 @@ def rasterize_plan(matching: Matching, grid: Grid) -> GridDensity:
 
     The total equals the matching cost to roundoff.
     """
-    edges = matching.edges
-    ends = np.array([(s, t) for s, t, _ in edges], dtype=float).reshape(len(edges), 2, grid.dim)
-    masses = np.array([m for _, _, m in edges], dtype=float) * dists(ends[:, 0], ends[:, 1])
-    return GridDensity(grid=grid, masses=_segment_masses(grid, ends[:, 0], ends[:, 1], masses))
+    a = matching.points[matching.edges[:, 0]]
+    b = matching.points[matching.edges[:, 1]]
+    masses = matching.masses * dists(a, b)
+    return GridDensity(grid=grid, masses=_segment_masses(grid, a, b, masses))
 
 
 def rasterize_vector_measure(nu: StructuredVectorMeasure, grid: Grid) -> GridDensity:

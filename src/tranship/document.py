@@ -112,6 +112,18 @@ def _parse_point(value, where: str):
     return [_as_float(v, where) for v in value]
 
 
+def _point_at(obj: dict, key: str, where: str):
+    return _parse_point(_get(obj, key, where), f"{where}.{key}")
+
+
+def _number_at(obj: dict, key: str, where: str) -> float:
+    return _as_float(_get(obj, key, where), f"{where}.{key}")
+
+
+def _parse_domain(block: dict, where: str) -> Domain:
+    return Domain(_point_at(block, "lower", where), _point_at(block, "upper", where))
+
+
 def _parse_test_function(obj: dict, dim: int, idx: int):
     where = f"test_functions[{idx}]"
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -142,7 +154,7 @@ def _parse_test_function(obj: dict, dim: int, idx: int):
         _require_keys(obj, {"kind", "center", "radius", "amplitude"}, where)
         return RadialBump(
             center=_parse_point(_get(obj, "center", where), where),
-            radius=_as_float(_get(obj, "radius", where), f"{where}.radius"),
+            radius=_number_at(obj, "radius", where),
             amplitude=_as_float(obj.get("amplitude", 1.0), f"{where}.amplitude"),
         )
     raise ValidationError(f"{where}: unknown test function kind {kind!r}")
@@ -158,13 +170,9 @@ def parse_document(data: dict) -> ProblemDocument:
 
     atoms = []
     for k, entry in enumerate(data.get("atoms", [])):
-        _require_keys(entry, {"point", "mass"}, f"atoms[{k}]")
-        atoms.append(
-            (
-                _parse_point(_get(entry, "point", f"atoms[{k}]"), f"atoms[{k}].point"),
-                _as_float(_get(entry, "mass", f"atoms[{k}]"), f"atoms[{k}].mass"),
-            )
-        )
+        where = f"atoms[{k}]"
+        _require_keys(entry, {"point", "mass"}, where)
+        atoms.append((_point_at(entry, "point", where), _number_at(entry, "mass", where)))
 
     dipoles = None
     if "dipoles" in data:
@@ -172,53 +180,40 @@ def parse_document(data: dict) -> ProblemDocument:
         _require_keys(block, {"pairs", "tail"}, "dipoles")
         pairs = []
         for k, entry in enumerate(block.get("pairs", [])):
-            _require_keys(entry, {"p", "n"}, f"dipoles.pairs[{k}]")
-            pairs.append(
-                (
-                    _parse_point(_get(entry, "p", f"dipoles.pairs[{k}]"), f"dipoles.pairs[{k}].p"),
-                    _parse_point(_get(entry, "n", f"dipoles.pairs[{k}]"), f"dipoles.pairs[{k}].n"),
-                )
-            )
+            where = f"dipoles.pairs[{k}]"
+            _require_keys(entry, {"p", "n"}, where)
+            pairs.append((_point_at(entry, "p", where), _point_at(entry, "n", where)))
         tail = None
         if block.get("tail") is not None:
-            _require_keys(block["tail"], {"ratio", "first_term"}, "dipoles.tail")
-            tail = (
-                _as_float(_get(block["tail"], "ratio", "dipoles.tail"), "dipoles.tail.ratio"),
-                _as_float(_get(block["tail"], "first_term", "dipoles.tail"), "dipoles.tail.first_term"),
-            )
+            keys = ("ratio", "first_term")
+            _require_keys(block["tail"], keys, "dipoles.tail")
+            tail = tuple(_number_at(block["tail"], key, "dipoles.tail") for key in keys)
         dipoles = DipoleChain(pairs=tuple(pairs), tail=tail)
 
     segments = []
     for k, entry in enumerate(data.get("segments", [])):
-        _require_keys(entry, {"a", "b", "density"}, f"segments[{k}]")
-        segments.append(
-            tuple(
-                _parse_point(_get(entry, key, f"segments[{k}]"), f"segments[{k}].{key}")
-                for key in ("a", "b", "density")
-            )
-        )
+        keys, where = ("a", "b", "density"), f"segments[{k}]"
+        _require_keys(entry, keys, where)
+        segments.append(tuple(_point_at(entry, key, where) for key in keys))
 
     vector_atoms = []
     for k, entry in enumerate(data.get("vector_atoms", [])):
-        _require_keys(entry, {"point", "vector"}, f"vector_atoms[{k}]")
-        vector_atoms.append(
-            (
-                _parse_point(_get(entry, "point", f"vector_atoms[{k}]"), f"vector_atoms[{k}].point"),
-                _parse_point(_get(entry, "vector", f"vector_atoms[{k}]"), f"vector_atoms[{k}].vector"),
-            )
-        )
+        keys, where = ("point", "vector"), f"vector_atoms[{k}]"
+        _require_keys(entry, keys, where)
+        vector_atoms.append(tuple(_point_at(entry, key, where) for key in keys))
 
     plan = None
     if "plan" in data:
         plan_atoms = []
         for k, entry in enumerate(data["plan"]):
-            _require_keys(entry, {"base", "dir", "t", "mass"}, f"plan[{k}]")
+            where = f"plan[{k}]"
+            _require_keys(entry, {"base", "dir", "t", "mass"}, where)
             plan_atoms.append(
                 PlanAtom(
-                    base=_parse_point(_get(entry, "base", f"plan[{k}]"), f"plan[{k}].base"),
-                    dir=_parse_point(_get(entry, "dir", f"plan[{k}]"), f"plan[{k}].dir"),
-                    t=_as_float(_get(entry, "t", f"plan[{k}]"), f"plan[{k}].t"),
-                    mass=_as_float(_get(entry, "mass", f"plan[{k}]"), f"plan[{k}].mass"),
+                    base=_point_at(entry, "base", where),
+                    dir=_point_at(entry, "dir", where),
+                    t=_number_at(entry, "t", where),
+                    mass=_number_at(entry, "mass", where),
                 )
             )
         plan = GeneralizedPlan(tuple(plan_atoms))
@@ -273,10 +268,7 @@ def parse_document(data: dict) -> ProblemDocument:
             geometry.append(np.vstack([atom.base, atom.head]))
 
     if "domain" in data:
-        domain = Domain(
-            _parse_point(_get(data["domain"], "lower", "domain"), "domain.lower"),
-            _parse_point(_get(data["domain"], "upper", "domain"), "domain.upper"),
-        )
+        domain = _parse_domain(data["domain"], "domain")
     elif geometry:
         domain = Domain.from_geometry(np.vstack(geometry))
     else:
@@ -286,10 +278,7 @@ def parse_document(data: dict) -> ProblemDocument:
     if "cells" in data:
         block = data["cells"]
         if "domain" in block:
-            cell_domain = Domain(
-                _parse_point(_get(block["domain"], "lower", "cells.domain"), "cells.domain.lower"),
-                _parse_point(_get(block["domain"], "upper", "cells.domain"), "cells.domain.upper"),
-            )
+            cell_domain = _parse_domain(block["domain"], "cells.domain")
         else:
             cell_domain = domain
         resolution = _get(block, "resolution", "cells")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .funcs import TestFunction
-from .geom import as_point, dist, segment_quadrature, vec_norm
+from .geom import as_point, dists, ordered_sum, segment_quadrature, vec_norm
 from .matchnorm import Matching
 from .measures import Distribution, StructuredVectorMeasure, pair
 
@@ -82,10 +82,7 @@ class GeneralizedPlan:
 
     @property
     def total_variation(self) -> float:
-        total = 0.0
-        for atom in self.atoms:
-            total += atom.mass
-        return total
+        return ordered_sum([atom.mass for atom in self.atoms])
 
 
 def ray_quotient(func: TestFunction, atom: PlanAtom) -> float:
@@ -137,14 +134,16 @@ def verify_projection(
 def plan_from_matching(matching: Matching) -> GeneralizedPlan:
     """Embed a transport matching as a plan of rays.
 
-    Each edge (x, y, m) becomes an atom based at the target y, pointing back
-    toward the source, with length |x - y| and mass m |x - y|; this makes
-    the plan pairing reproduce sum m (phi(x) - phi(y)) identically, and the
-    plan's total variation equal the matching cost.
+    Each edge from source x to target y with mass m becomes an atom based at
+    y, pointing back toward x, with length |x - y| and mass m |x - y|; this
+    makes the plan pairing reproduce sum m (phi(x) - phi(y)) identically,
+    and the plan's total variation equal the matching cost.
     """
+    sources = matching.points[matching.edges[:, 0]]
+    targets = matching.points[matching.edges[:, 1]]
+    lengths = dists(sources, targets).tolist()
     atoms = []
-    for source, target, mass in matching.edges:
-        length = dist(source, target)
+    for source, target, mass, length in zip(sources, targets, matching.masses.tolist(), lengths):
         if length == 0.0:
             continue
         direction = (source - target) / length

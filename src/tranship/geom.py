@@ -34,6 +34,7 @@ __all__ = [
     "as_point",
     "dist",
     "dists",
+    "ordered_sum",
     "vec_norm",
     "Domain",
     "Grid",
@@ -74,6 +75,17 @@ def dists(a, b) -> np.ndarray:
 def dist(a, b) -> float:
     """Euclidean distance between two points: the scalar case of :func:`dists`."""
     return float(dists(a, b))
+
+
+def ordered_sum(terms) -> float:
+    """Sum of `terms` added left to right from 0.0.
+
+    ``np.cumsum`` adds strictly in order and 0.0 + x == x, so its last entry
+    has the bits of the loop ``total = 0.0; for t in terms: total += t``;
+    ``np.sum`` adds pairwise and rounds differently on longer inputs.
+    """
+    terms = np.asarray(terms, dtype=float)
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 @dataclass(frozen=True)

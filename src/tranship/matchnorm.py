@@ -25,14 +25,14 @@ first call of :func:`linprog`, so importing this module loads no scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .errors import TranshipError, ValidationError
-from .geom import dist, dists
+from .geom import dists, ordered_sum
 from .measures import SignedAtomMeasure
 from .mincostflow import solve_min_cost_flow
 
@@ -72,16 +72,20 @@ _LP_OPTIONS = {
 NEIGHBOURS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
-    """Transport edges (source point, target point, mass > 0), their cost and,
-    when built by :func:`minimal_connection`, a potential certifying the cost:
-    1-Lipschitz, minimum 0, aligned with the measure's points, and with
-    ``sum(masses * potential) == cost`` up to roundoff."""
+    """Transport over the atoms `points` (the measure's own read-only array):
+    ``edges`` holds (source, target) atom indices, lexicographically ordered,
+    ``masses`` the mass > 0 each edge carries, ``cost`` their transport cost.
+    When built by :func:`minimal_connection`, ``potential`` certifies the
+    cost: aligned with `points`, 1-Lipschitz, minimum 0, tight on every edge,
+    and paired with the measure's masses it gives the cost up to roundoff."""
 
-    edges: tuple  # ((source, target, mass), ...) lexicographic by atom index
+    points: np.ndarray  # (n, dim)
+    edges: np.ndarray  # (k, 2) int
+    masses: np.ndarray  # (k,)
     cost: float
-    potential: np.ndarray | None = field(default=None, compare=False)
+    potential: np.ndarray | None = None
 
     def __len__(self):
         return len(self.edges)
@@ -95,52 +99,36 @@ class Potential:
     lip_bound: float
 
 
-def _matching_cost(edges) -> float:
-    # canonical accumulation order: the oracle sums the same floats the same way
-    cost = 0.0
-    for source, target, mass in edges:
-        cost += mass * dist(source, target)
-    return cost
-
-
-def _edges_from_pairs(pos_pts, neg_pts, triples):
-    edges = []
-    for i, j, mass in sorted(triples):
-        edges.append((pos_pts[i].copy(), neg_pts[j].copy(), float(mass)))
-    for source, target, _ in edges:
-        source.setflags(write=False)
-        target.setflags(write=False)
-    return tuple(edges)
-
-
 def minimal_connection(f: SignedAtomMeasure) -> Matching:
     """Min-cost transport between the positive and negative parts of `f`.
 
     An uncapacitated min-cost flow on the complete bipartite graph, for equal
-    and distinct masses alike.  Edges are ordered lexicographically by
-    (source, target) atom index, and the cost equals the Kantorovich norm of
+    and distinct masses alike.  The matching's points are ``f.points``; its
+    edges come out of the flow's arcs, which are source-major, so they are
+    ordered lexicographically by (source, target) atom index.  The cost sums
+    mass * distance over the edges in that order
+    (:func:`~tranship.geom.ordered_sum`) and equals the Kantorovich norm of
     `f`.  The potential is the c-transform of the flow's sink potentials.
     """
     f.require_balanced()
-    pos_pts, pos_mass = f.positive_part()
-    neg_pts, neg_mass = f.negative_part()
-    if len(pos_pts) == 0:
-        return Matching(edges=(), cost=0.0, potential=_read_only(np.zeros(len(f))))
+    pos = np.flatnonzero(f.masses > 0)
+    neg = np.flatnonzero(f.masses < 0)
+    if pos.size == 0:  # balanced, so there are no atoms at all
+        empty = _read_only(np.zeros(0))
+        return Matching(f.points, _read_only(np.zeros((0, 2), dtype=int)), empty, 0.0, empty)
 
     # arcs of the complete bipartite graph, source-major like the rows of d
-    d = dists(pos_pts[:, None], neg_pts[None])
+    d = dists(f.points[pos][:, None], f.points[neg][None])
     n_pos, n_neg = d.shape
     src, dst = np.divmod(np.arange(d.size), n_neg)
     arcs = np.column_stack([src, n_pos + dst])
-    supply = np.concatenate([pos_mass, -neg_mass])
-    sol = solve_min_cost_flow(n_pos + n_neg, arcs, d.ravel(), supply)
-    triples = [
-        (int(src[a]), int(dst[a]), float(sol.arc_flows[a]))
-        for a in np.flatnonzero(sol.arc_flows > 0.0)
-    ]
-    edges = _edges_from_pairs(pos_pts, neg_pts, triples)
-    potential = _c_transform(f.points, neg_pts, sol.potentials[n_pos:])
-    return Matching(edges=edges, cost=_matching_cost(edges), potential=potential)
+    lengths = d.ravel()
+    sol = solve_min_cost_flow(n_pos + n_neg, arcs, lengths, f.masses[np.r_[pos, neg]])
+    carrying = np.flatnonzero(sol.arc_flows > 0.0)
+    edges = _read_only(np.column_stack([pos[src[carrying]], neg[dst[carrying]]]))
+    masses = _read_only(sol.arc_flows[carrying])
+    potential = _c_transform(f.points, f.points[neg], sol.potentials[n_pos:])
+    return Matching(f.points, edges, masses, ordered_sum(masses * lengths[carrying]), potential)
 
 
 def _c_transform(points, sinks, sink_values):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import TailBoundError, UnbalancedMeasureError, ValidationError
 from .funcs import TestFunction
-from .geom import Grid, as_point, dists, gauss_legendre, segment_quadrature, vec_norm
+from .geom import Grid, as_point, dists, gauss_legendre, ordered_sum, segment_quadrature, vec_norm
 
 __all__ = [
     "SignedAtomMeasure",
@@ -204,11 +204,8 @@ class DipoleChain:
             analytic = first * ratio ** max(k, m)
         if k >= m:
             return analytic
-        lens = self.lengths()
-        suffix = analytic
-        for i in range(m - 1, k - 1, -1):  # right-to-left keeps dyadic sums exact
-            suffix += lens[i]
-        return float(suffix)
+        # right to left from the analytic term keeps dyadic sums exact
+        return ordered_sum(np.concatenate([[analytic], self.lengths()[k:][::-1]]))
 
     def pair_with(self, func) -> float:
         """sum_i u(p_i) - u(n_i) over the listed pairs."""
@@ -374,14 +371,10 @@ class StructuredVectorMeasure:
 
     @property
     def total_variation(self) -> float:
-        total = 0.0
-        for v in self.atom_vectors:
-            total += vec_norm(v)
-        for d, length in zip(self.seg_density, self._lengths):
-            total += vec_norm(d) * length
+        terms = [dists(self.atom_vectors, 0.0), dists(self.seg_density, 0.0) * self._lengths]
         if self.cells is not None:
-            total += self.cells.total_variation
-        return total
+            terms.append([self.cells.total_variation])
+        return ordered_sum(np.concatenate(terms))
 
     def __add__(self, other: "StructuredVectorMeasure") -> "StructuredVectorMeasure":
         if self.dim != other.dim:

@@ -319,17 +319,9 @@ def modulus(chain: DipoleChain, eps_list, seed: int = 0) -> ModulusCurve:
             raise ValidationError(
                 f"eps {eps!r} is below the certifiable floor ({floor} for this chain)"
             )
-        k = None
-        for cand in range(m + 1):
-            if chain.tail_bound(cand) <= eps:
-                k = cand
-                break
-        if k is None:
-            ratio, first = chain.tail
-            cand = m + 1
-            while first * ratio**cand > eps:
-                cand += 1
-            k = cand
+        k = 0
+        while chain.tail_bound(k) > eps:
+            k += 1
         samples.append((eps, 2 * k, k))
     curve = ModulusCurve(samples=tuple(samples))
     if m > 0:

@@ -169,11 +169,9 @@ def test_07_slackness_and_feasibility():
         matching = minimal_connection(f)
         potential, _ = dual_potential(f)
         u = potential.values
-        index = {tuple(p): i for i, p in enumerate(f.points)}
-        for s, t, _m in matching.edges:
-            drop = u[index[tuple(s)]] - u[index[tuple(t)]]
-            worst_tight = max(worst_tight, abs(drop - dist(s, t)))
         pts = f.points
+        for i, j in matching.edges:
+            worst_tight = max(worst_tight, abs(u[i] - u[j] - dist(pts[i], pts[j])))
         for i in range(len(pts)):
             for j in range(len(pts)):
                 if i != j:

@@ -7,6 +7,9 @@ from tranship import cli
 from tranship.cli import run
 from tranship.document import load_document, parse_document
 from tranship.errors import ValidationError
+from tranship.geom import dists
+from tranship.matchnorm import minimal_connection
+from tranship.testing import random_balanced_measure
 
 
 def write_doc(tmp_path, payload, name="doc.json"):
@@ -276,6 +279,39 @@ class TestCommands:
         assert body.splitlines()[0] == "eps,C,k"
         assert body.splitlines()[1] == "0.25,4,2"
 
+    @pytest.mark.parametrize("fmt", ["svg", "ascii"])
+    def test_modulus_rejects_raster_formats(self, tmp_path, capsys, fmt):
+        chain = {"version": 1, "dipoles": {"pairs": [{"p": [0, 0], "n": [1, 0]}]}}
+        path = write_doc(tmp_path, chain)
+        out = tmp_path / "report"
+        assert run(["modulus", path, "--eps", "0.5", "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: modulus --format must be one of csv, json, got '{fmt}'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_density_rejects_json_before_solving(self, tmp_path, capsys, monkeypatch, dim):
+        import tranship.matchnorm
+
+        def no_solve(f):
+            raise AssertionError("density solved before checking --format")
+
+        monkeypatch.setattr(tranship.matchnorm, "minimal_connection", no_solve)
+        doc = {
+            "version": 1,
+            "atoms": [
+                {"point": [0.0] * dim, "mass": 1.0},
+                {"point": [1.0] * dim, "mass": -1.0},
+            ],
+        }
+        path = write_doc(tmp_path, doc)
+        grid = "x".join(["2"] * dim)
+        assert run(["density", path, "--grid", grid, "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: density --format must be one of csv, svg, ascii, got 'json'\n"
+        )
+
     def test_validation_exit_codes(self, tmp_path):
         assert run(["connect", str(tmp_path / "missing.json")]) == 2
         unbalanced = {
@@ -332,6 +368,39 @@ class TestCommands:
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["connect", "doc.json", "--frobnicate"]) == 2
         capsys.readouterr()
+
+
+def reference_slackness(matching):
+    """The per-edge loop connect's slackness replaced: Python floats, one edge
+    at a time, the running maximum starting from 0.0."""
+    worst = 0.0
+    u = matching.potential.tolist()
+    for i, j in matching.edges.tolist():
+        length = dists(matching.points[i], matching.points[j])
+        worst = max(worst, abs(u[i] - u[j] - length))
+    return float(worst)
+
+
+class TestSlackness:
+    def test_equals_the_edge_loop(self):
+        rng = np.random.default_rng(1302)
+        nonzero = 0
+        for _ in range(60):
+            m = minimal_connection(random_balanced_measure(rng, max_pairs=15))
+            assert cli._max_slackness(m) == reference_slackness(m)
+            nonzero += reference_slackness(m) > 0.0
+        assert nonzero > 0  # roundoff leaves some edges off tight
+
+    def test_report_carries_it(self, tmp_path):
+        rng = np.random.default_rng(1303)
+        f = random_balanced_measure(rng, max_pairs=15)
+        atoms = [{"point": p, "mass": m} for p, m in zip(f.points.tolist(), f.masses.tolist())]
+        path = write_doc(tmp_path, {"version": 1, "atoms": atoms})
+        out = tmp_path / "report.json"
+        assert run(["connect", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        slackness = reference_slackness(minimal_connection(load_document(path).atoms))
+        assert report["residuals"]["slackness"] == slackness
 
 
 class TestReportWriting:

@@ -19,9 +19,8 @@ UNIT_GRID_2x1 = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (2, 1))
 
 
 def edge_matching(source, target, mass):
-    s = np.asarray(source, dtype=float)
-    t = np.asarray(target, dtype=float)
-    return Matching(edges=((s, t, mass),), cost=mass * dist(s, t))
+    points = np.array([source, target], dtype=float)
+    return Matching(points, np.array([[0, 1]]), np.array([mass]), mass * dist(source, target))
 
 
 class TestRasterizePlan:
@@ -36,7 +35,8 @@ class TestRasterizePlan:
         assert density.masses[1] == 0.0
 
     def test_empty_matching(self):
-        density = rasterize_plan(Matching(edges=(), cost=0.0), UNIT_GRID_2x1)
+        empty = Matching(np.zeros((0, 2)), np.zeros((0, 2), dtype=int), np.zeros(0), 0.0)
+        density = rasterize_plan(empty, UNIT_GRID_2x1)
         assert density.total == 0.0
 
     def test_mass_cost_identity(self, rng):

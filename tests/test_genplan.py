@@ -101,7 +101,8 @@ class TestFromMatching:
             plan = plan_from_matching(matching)
             for func in family:
                 expected = 0.0
-                for s, t, mass in matching.edges:
+                for (i, j), mass in zip(matching.edges, matching.masses):
+                    s, t = matching.points[i], matching.points[j]
                     expected += mass * (func.value(s) - func.value(t))
                 got = pair_plan(plan, func)
                 assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))

@@ -8,9 +8,22 @@ from tranship.geom import (
     dist,
     dists,
     gauss_legendre,
+    ordered_sum,
     segment_cell_intervals,
     segment_quadrature,
 )
+
+
+def test_ordered_sum_has_the_bits_of_a_left_to_right_loop():
+    rng = np.random.default_rng(17)
+    terms = rng.uniform(0.0, 1.0, 40) * 10.0 ** rng.integers(-6, 6, 40)
+    loop = 0.0
+    for t in terms.tolist():
+        loop += t
+    assert ordered_sum(terms) == loop and type(ordered_sum(terms)) is float
+    # np.sum adds more than 8 terms pairwise, which rounds differently here
+    assert float(np.sum(terms)) != loop
+    assert ordered_sum([]) == 0.0 and ordered_sum([2.5]) == 2.5
 
 
 def test_domain_requires_strict_box():

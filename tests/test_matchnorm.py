@@ -79,7 +79,7 @@ class TestMinimalConnection:
         assert (d_given, d_cross) == (20.0, 2.0)
         m = minimal_connection(reconnection)
         assert m.cost == 2.0
-        targets = {tuple(e[1]) for e in m.edges}
+        targets = {tuple(m.points[j]) for j in m.edges[:, 1]}
         assert targets == {(0.0, 1.0), (10.0, 0.0)}
 
     def test_mass_two_dipole(self):
@@ -100,17 +100,14 @@ class TestMinimalConnection:
         for _ in range(20):
             f = random_balanced_measure(rng, max_pairs=6)
             m = minimal_connection(f)
-            out = {}
-            inc = {}
-            for s, t, mass in m.edges:
-                assert mass > 0
-                out[tuple(s)] = out.get(tuple(s), 0.0) + mass
-                inc[tuple(t)] = inc.get(tuple(t), 0.0) + mass
-            for p, mass in zip(f.points, f.masses):
+            assert np.all(m.masses > 0)
+            out = np.bincount(m.edges[:, 0], weights=m.masses, minlength=len(f))
+            inc = np.bincount(m.edges[:, 1], weights=m.masses, minlength=len(f))
+            for k, mass in enumerate(f.masses):
                 if mass > 0:
-                    assert abs(out[tuple(p)] - mass) <= 1e-9 * max(1.0, mass)
+                    assert abs(out[k] - mass) <= 1e-9 * max(1.0, mass) and inc[k] == 0.0
                 else:
-                    assert abs(inc[tuple(p)] + mass) <= 1e-9 * max(1.0, -mass)
+                    assert abs(inc[k] + mass) <= 1e-9 * max(1.0, -mass) and out[k] == 0.0
 
     def test_matches_brute_force_exactly(self, rng):
         for _ in range(100):
@@ -132,6 +129,49 @@ def certificate_instance(kind: str) -> SignedAtomMeasure:
     return SignedAtomMeasure(points, np.concatenate([pos_mass, -neg_mass]))
 
 
+def reference_cost(m):
+    """The edge loop minimal_connection's cost replaced: mass * distance per
+    edge, in edge order, added from 0.0."""
+    cost = 0.0
+    for (i, j), mass in zip(m.edges.tolist(), m.masses.tolist()):
+        cost += mass * dist(m.points[i], m.points[j])
+    return cost
+
+
+class TestMatchingArrays:
+    """Edges index the measure's own atoms; the cost keeps the loop's bits."""
+
+    @pytest.mark.parametrize("kind", ["distinct", "equal", "3d", "large"])
+    def test_edges_index_the_atoms_in_lexicographic_order(self, kind):
+        f = certificate_instance(kind)
+        m = minimal_connection(f)
+        assert m.points is f.points
+        assert m.edges.dtype.kind == "i" and m.edges.shape == (len(m), 2)
+        assert m.masses.shape == (len(m),) and np.all(m.masses > 0.0)
+        i, j = m.edges.T
+        assert np.all(f.masses[i] > 0.0) and np.all(f.masses[j] < 0.0)
+        assert np.all(np.diff(i * len(f) + j) > 0)  # sorted, no repeats
+        for arr in (m.points, m.edges, m.masses, m.potential):
+            assert not arr.flags.writeable
+
+    def test_empty_measure_has_no_edges(self):
+        m = minimal_connection(SignedAtomMeasure.empty(3))
+        assert m.edges.shape == (0, 2) and m.masses.shape == (0,) and m.points.shape == (0, 3)
+
+    def test_cost_has_the_bits_of_the_edge_loop(self):
+        rng = np.random.default_rng(1301)
+        for trial in range(60):
+            if trial % 3 == 0:
+                f = random_unit_dipole_measure(rng, max_pairs=12)
+            else:
+                f = random_balanced_measure(rng, max_pairs=15)
+            m = minimal_connection(f)
+            assert m.cost == reference_cost(m)
+        for kind in ("3d", "large"):
+            m = minimal_connection(certificate_instance(kind))
+            assert len(m) > 8 and m.cost == reference_cost(m)
+
+
 class TestConnectionPotential:
     """The potential minimal_connection returns certifies its cost offline."""
 
@@ -145,10 +185,8 @@ class TestConnectionPotential:
         d = dists(pts[:, None], pts[None])
         assert np.max(u[:, None] - u[None] - d) <= 1e-12
         scale = max(1.0, float(d.max()))
-        index = {tuple(p): k for k, p in enumerate(pts)}
-        for s, t, _mass in m.edges:
-            drop = u[index[tuple(s)]] - u[index[tuple(t)]]
-            assert abs(drop - dist(s, t)) <= 1e-12 * scale
+        for i, j in m.edges:
+            assert abs(u[i] - u[j] - dist(pts[i], pts[j])) <= 1e-12 * scale
         value = float(np.sum(f.masses * u))
         assert abs(value - m.cost) <= 1e-12 * m.cost
         _, lp_value = dual_potential(f)
@@ -315,10 +353,9 @@ class TestDualPotential:
             f = random_balanced_measure(rng, max_pairs=10)
             m = minimal_connection(f)
             pot, _ = dual_potential(f)
-            index = {tuple(p): i for i, p in enumerate(f.points)}
-            for s, t, _mass in m.edges:
-                drop = pot.values[index[tuple(s)]] - pot.values[index[tuple(t)]]
-                assert abs(drop - dist(s, t)) <= 1e-7
+            for i, j in m.edges:
+                drop = pot.values[i] - pot.values[j]
+                assert abs(drop - dist(f.points[i], f.points[j])) <= 1e-7
 
 
 class TestNormAxioms:

@@ -395,6 +395,23 @@ class TestSegmentValidation:
             StructuredVectorMeasure.build(2, segments=segments)
 
 
+def reference_tail_bound(chain, k):
+    """The loop tail_bound replaced: the listed suffix added right to left,
+    starting from the analytic tail."""
+    m = len(chain)
+    analytic = 0.0
+    if chain.tail is not None:
+        ratio, first = chain.tail
+        analytic = first * ratio ** max(k, m)
+    if k >= m:
+        return analytic
+    lens = chain.lengths()
+    suffix = analytic
+    for i in range(m - 1, k - 1, -1):
+        suffix += lens[i]
+    return float(suffix)
+
+
 class TestFromDipoles:
     def test_single_listed_pair(self):
         chain = DipoleChain((((0.0, 0.0), (1.0, 0.0)),))
@@ -412,6 +429,19 @@ class TestFromDipoles:
         f, bound = from_dipoles(chain, truncation_eps=2.0**-10)
         assert bound == 2.0**-10
         assert len(f.measure_part) == 20
+
+    def test_tail_bound_has_the_bits_of_the_right_to_left_loop(self):
+        rng = np.random.default_rng(1304)
+        for trial in range(40):
+            m = int(rng.integers(0, 14))
+            pairs = tuple(
+                (p, p + rng.normal(size=2) * 10.0 ** rng.integers(-4, 2))
+                for p in rng.uniform(0.0, 1.0, (m, 2))
+            )
+            tail = (float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.01, 1.0)))
+            chain = DipoleChain(pairs, tail=tail if trial % 2 else None)
+            for k in range(m + 3):
+                assert chain.tail_bound(k) == reference_tail_bound(chain, k)
 
     def test_unreachable_truncation_fails(self):
         chain = DipoleChain((((0.0, 0.0), (1.0, 0.0)),), tail=(0.5, 1.0))

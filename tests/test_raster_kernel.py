@@ -53,7 +53,8 @@ def _reference_deposit(acc, grid, a, b, mass):
 
 def _reference_plan(matching, grid):
     acc = np.zeros(grid.n_cells)
-    for source, target, mass in matching.edges:
+    for (i, j), mass in zip(matching.edges, matching.masses):
+        source, target = matching.points[i], matching.points[j]
         _reference_deposit(acc, grid, source, target, mass * dist(source, target))
     return acc
 
@@ -119,7 +120,8 @@ def test_plan_raster_matches_per_segment_loop(dim):
         grid = _random_grid(rng, dim)
         a, b = _random_segments(rng, grid, int(rng.integers(1, 40)))
         masses = rng.uniform(0.1, 2.0, len(a))
-        matching = Matching(edges=tuple(zip(a, b, masses.tolist())), cost=0.0)
+        k = np.arange(len(a))
+        matching = Matching(np.vstack([a, b]), np.column_stack([k, len(a) + k]), masses, 0.0)
         got = rasterize_plan(matching, grid).masses
         assert got.tobytes() == _reference_plan(matching, grid).tobytes()
 

@@ -323,7 +323,8 @@ class TestSigmaZeroCrossCheck:
         from tranship.matchnorm import Matching
 
         normal_part = StructuredVectorMeasure.build(2, atoms=[((0.0, 0.0), (0.0, 2.0))])
-        assert sharp_distance_via_plan(Matching(edges=(), cost=0.0), normal_part) == 2.0
+        empty = Matching(np.zeros((0, 2)), np.zeros((0, 2), dtype=int), np.zeros(0), 0.0)
+        assert sharp_distance_via_plan(empty, normal_part) == 2.0
 
     def test_pure_matching(self, rng):
         f = random_balanced_measure(rng, max_pairs=4)
@@ -331,7 +332,49 @@ class TestSigmaZeroCrossCheck:
         assert sharp_distance_via_plan(matching, StructuredVectorMeasure.empty(2)) == 0.0
 
 
+def reference_modulus_k(chain, eps):
+    """The search modulus replaced: the listed pairs first, then the analytic
+    tail alone."""
+    m = len(chain)
+    for k in range(m + 1):
+        if chain.tail_bound(k) <= eps:
+            return k
+    ratio, first = chain.tail
+    k = m + 1
+    while first * ratio**k > eps:
+        k += 1
+    return k
+
+
 class TestModulus:
+    def test_k_equals_the_two_stage_search(self):
+        rng = np.random.default_rng(1305)
+        for trial in range(10):
+            m = int(rng.integers(1, 12))
+            pairs = tuple((p, p + rng.normal(size=2)) for p in rng.uniform(0.0, 1.0, (m, 2)))
+            tail = (float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.1, 2.0)))
+            chain = DipoleChain(pairs, tail=tail if trial % 2 else None)
+            total = chain.tail_bound(0)
+            eps = [total * 2.0**-e for e in range(0, 14, 2)] + [2.0 * total]
+            curve = modulus(chain, eps)
+            assert [k for _, _, k in curve.samples] == [reference_modulus_k(chain, e) for e in eps]
+
+    def test_total_variations_have_the_bits_of_their_loops(self):
+        rng = np.random.default_rng(1306)
+        for _ in range(20):
+            nu, matching, _ = certified_instance(rng, max_pairs=10)
+            loop = 0.0
+            for v in nu.atom_vectors:
+                loop += vec_norm(v)
+            for d, length in zip(nu.seg_density, nu.segment_lengths):
+                loop += vec_norm(d) * length
+            assert nu.total_variation == loop
+            plan = plan_from_matching(matching)
+            loop = 0.0
+            for atom in plan.atoms:
+                loop += atom.mass
+            assert plan.total_variation == loop
+
     def test_geometric_quarter(self):
         curve = modulus(geometric_chain(), [0.25])
         assert curve.samples == ((0.25, 4, 2),)
