@@ -144,7 +144,7 @@ def _cmd_connect(doc: ProblemDocument, args, report: dict) -> int:
 
     from . import matchnorm as mn
 
-    f = doc.atom_distribution(report["warnings"]).measure_part
+    f = doc.atom_distribution().measure_part
     matching = mn.minimal_connection(f)
     points, (i, j) = matching.points, matching.edges.T
     dual_value = float(np.sum(f.masses * matching.potential))
@@ -177,7 +177,7 @@ def _max_slackness(matching) -> float:
 def _cmd_dual(doc: ProblemDocument, args, report: dict) -> int:
     from . import matchnorm as mn
 
-    f = doc.atom_distribution(report["warnings"]).measure_part
+    f = doc.atom_distribution().measure_part
     potential, value = mn.dual_potential(f)
     report["values"]["value"] = value
     report["values"]["lip_bound"] = potential.lip_bound
@@ -188,7 +188,7 @@ def _cmd_dual(doc: ProblemDocument, args, report: dict) -> int:
 def _cmd_flatnorm(doc: ProblemDocument, args, report: dict) -> int:
     from . import matchnorm as mn
 
-    f = doc.atom_distribution(report["warnings"]).measure_part
+    f = doc.atom_distribution().measure_part
     value, u = mn._flat_norm_lp(f, args.convention)
     report["values"]["value"] = value
     report["values"]["convention"] = args.convention
@@ -201,7 +201,7 @@ def _cmd_beckmann(doc: ProblemDocument, args, report: dict) -> int:
 
     from . import beckmann as bk
 
-    f = doc.atom_distribution(report["warnings"]).measure_part
+    f = doc.atom_distribution().measure_part
     if args.grid:
         resolution = _parse_grid_spec(args.grid, doc.domain.dim)
         net = bk.grid_network(doc.domain, resolution, f, diagonals=args.diagonals)
@@ -238,7 +238,7 @@ def _cmd_plan_check(doc: ProblemDocument, args, report: dict) -> int:
 
     if doc.plan is None:
         raise ValidationError("plan-check requires a 'plan' section")
-    f = doc.full_distribution(report["warnings"])
+    f = doc.full_distribution()
     family = doc.family(doc.domain.dim)
     scale = max(1.0, doc.plan.total_variation)
     tol = args.tol_abs + args.tol_rel * scale
@@ -262,13 +262,14 @@ def _cmd_density(doc: ProblemDocument, args, report: dict) -> int:
         raise ValidationError("density requires --grid RxC[xD]")
     resolution = _parse_grid_spec(args.grid, doc.domain.dim)
     grid = Grid(doc.domain, resolution)
+    dens.check_format(args.format, grid.dim)
     if doc.plan is not None:
         nu = to_vector_measure(doc.plan)
         result = dens.rasterize_vector_measure(nu, grid)
     elif not doc.vector_measure.is_empty:
         result = dens.rasterize_vector_measure(doc.vector_measure, grid)
     else:
-        f = doc.atom_distribution(report["warnings"]).measure_part
+        f = doc.atom_distribution().measure_part
         matching = mn.minimal_connection(f)
         result = dens.rasterize_plan(matching, grid)
     _emit_bytes(dens.export(result, args.format), args.out)

@@ -128,12 +128,18 @@ def _resample_cells(acc: np.ndarray, nu: StructuredVectorMeasure, grid: Grid):
         np.add.at(acc, flat_targets, norm * vol.ravel())
 
 
+def check_format(fmt: str, dim: int):
+    """Raise unless `fmt` can be written for a `dim`-d grid: csv takes any
+    dimension, every other format a 2-d grid."""
+    if fmt != "csv" and dim != 2:
+        raise ValidationError(f"{fmt} export requires a 2-d grid")
+
+
 def export(density: GridDensity, fmt: str) -> bytes:
     """Serialize as csv (any dimension), or svg heat map / ascii ramp (2-d only)."""
+    check_format(fmt, density.grid.dim)
     if fmt == "csv":
         return _export_csv(density)
-    if density.grid.dim != 2:
-        raise ValidationError(f"{fmt} export requires a 2-d grid")
     if fmt == "svg":
         return _export_svg(density)
     if fmt == "ascii":

@@ -9,6 +9,7 @@ the 5%-padded bounding box of everything in the file.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,22 +83,21 @@ class ProblemDocument:
     test_functions: Optional[tuple]
     options: dict = field(default_factory=dict)
 
-    def atom_distribution(self, warnings_out: Optional[list] = None) -> Distribution:
+    def atom_distribution(self) -> Distribution:
         """The measure-type distribution of the document: atoms plus truncated
-        dipole pairs."""
+        dipole pairs.  A truncation with a nonzero error bound is reported
+        by a warning, which ``cli.run`` records in the report."""
         measure = self.atoms
         if self.dipoles is not None:
             eps = self.options.get("truncation_eps", 0.0)
             truncated, bound = from_dipoles(self.dipoles, truncation_eps=eps)
             measure = measure + truncated.measure_part
-            if warnings_out is not None and bound > 0.0:
-                warnings_out.append(
-                    f"dipole chain truncated: norm error bound {bound!r}"
-                )
+            if bound > 0.0:
+                warnings.warn(f"dipole chain truncated: norm error bound {bound!r}", stacklevel=2)
         return Distribution.from_measure(measure)
 
-    def full_distribution(self, warnings_out: Optional[list] = None) -> Distribution:
-        f = self.atom_distribution(warnings_out)
+    def full_distribution(self) -> Distribution:
+        f = self.atom_distribution()
         return Distribution(f.measure_part, self.vector_measure)
 
     def family(self, dim: int):

@@ -1,9 +1,12 @@
 """Closed-form test functions with exact gradients.
 
 These are the functions a distribution is paired against.  Anything with a
-``value(point) -> float`` and ``gradient(point) -> ndarray`` pair works;
-the classes here are the built-in C^1 kinds.  Polynomials additionally
-expose ``degree`` so quadrature routines can flag exactness violations.
+``value`` and ``gradient`` broadcast like :func:`~tranship.geom.dists` works:
+for points ``(..., dim)`` they return ``(...)`` and ``(..., dim)``.  The
+classes here are the built-in C^1 kinds; their powers use ``np.float_power``
+(C ``pow``, as Python's ``**`` on a float; an array ``x ** e`` rounds
+differently on some inputs).  Polynomials additionally expose ``degree`` so
+quadrature routines can flag exactness violations.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ __all__ = ["TestFunction", "Coordinate", "Polynomial", "RadialBump", "polynomial
 
 @runtime_checkable
 class TestFunction(Protocol):
-    def value(self, point) -> float: ...
+    """A function of points along the last axis, broadcast over the leading
+    axes: ``value`` returns ``points.shape[:-1]``, ``gradient``
+    ``points.shape``; powers go through ``np.float_power``."""
 
-    def gradient(self, point) -> np.ndarray: ...
+    def value(self, points) -> np.ndarray: ...
+
+    def gradient(self, points) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -36,12 +43,12 @@ class Coordinate:
 
     degree = 1
 
-    def value(self, point) -> float:
-        return float(np.asarray(point, dtype=float)[self.axis])
+    def value(self, points) -> np.ndarray:
+        return np.asarray(points, dtype=float)[..., self.axis]
 
-    def gradient(self, point) -> np.ndarray:
-        g = np.zeros(self.dim)
-        g[self.axis] = 1.0
+    def gradient(self, points) -> np.ndarray:
+        g = np.zeros(np.shape(points))
+        g[..., self.axis] = 1.0
         return g
 
     def __str__(self):
@@ -69,31 +76,30 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
 
-    def value(self, point) -> float:
-        x = np.asarray(point, dtype=float)
-        total = 0.0
-        for exps, c in self.coeffs.items():
+    @staticmethod
+    def _sum(x, monomials) -> np.ndarray:
+        """sum of c * prod_k x_k^e_k over (c, e) in `monomials`, in order."""
+        x = np.asarray(x, dtype=float)
+        total = np.zeros(x.shape[:-1])
+        for c, exps in monomials:
             term = c
-            for xi, e in zip(x, exps):
+            for k, e in enumerate(exps):
                 if e:
-                    term *= xi**e
-            total += term
-        return float(total)
+                    term = term * np.float_power(x[..., k], e)
+            total = total + term
+        return total
 
-    def gradient(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        g = np.zeros(self.dim)
-        for exps, c in self.coeffs.items():
-            for axis, e in enumerate(exps):
-                if e == 0:
-                    continue
-                term = c * e
-                for k, (xi, ek) in enumerate(zip(x, exps)):
-                    p = ek - 1 if k == axis else ek
-                    if p:
-                        term *= xi**p
-                g[axis] += term
-        return g
+    def value(self, points) -> np.ndarray:
+        return self._sum(points, ((c, e) for e, c in self.coeffs.items()))
+
+    def gradient(self, points) -> np.ndarray:
+        return np.stack([self._sum(points, self._derivative(k)) for k in range(self.dim)], axis=-1)
+
+    def _derivative(self, k):
+        """The (coefficient, exponents) monomials of d/dx_k, in order."""
+        for e, c in self.coeffs.items():
+            if e[k]:
+                yield c * e[k], e[:k] + (e[k] - 1,) + e[k + 1:]
 
     def __str__(self):
         terms = sorted(self.coeffs.items())
@@ -117,19 +123,18 @@ class RadialBump:
     def dim(self) -> int:
         return self.center.size
 
-    def value(self, point) -> float:
-        d = np.asarray(point, dtype=float) - self.center
-        s2 = float(np.dot(d, d)) / self.radius**2
-        if s2 >= 1.0:
-            return 0.0
-        return self.amplitude * (1.0 - s2) ** 3
+    def _offsets(self, points):
+        d = np.asarray(points, dtype=float) - self.center
+        return d, np.vecdot(d, d) / self.radius**2
 
-    def gradient(self, point) -> np.ndarray:
-        d = np.asarray(point, dtype=float) - self.center
-        s2 = float(np.dot(d, d)) / self.radius**2
-        if s2 >= 1.0:
-            return np.zeros(self.dim)
-        return (-6.0 * self.amplitude / self.radius**2) * (1.0 - s2) ** 2 * d
+    def value(self, points) -> np.ndarray:
+        _d, s2 = self._offsets(points)
+        return np.where(s2 >= 1.0, 0.0, self.amplitude * np.float_power(1.0 - s2, 3))
+
+    def gradient(self, points) -> np.ndarray:
+        d, s2 = self._offsets(points)
+        slope = (-6.0 * self.amplitude / self.radius**2) * np.float_power(1.0 - s2, 2)
+        return np.where((s2 >= 1.0)[..., None], 0.0, slope[..., None] * d)
 
     def __str__(self):
         return f"bump({self.center.tolist()}, R={self.radius})"

@@ -85,18 +85,28 @@ class GeneralizedPlan:
         return ordered_sum([atom.mass for atom in self.atoms])
 
 
+def _ray_quotients(func: TestFunction, atoms) -> np.ndarray:
+    """The ray quotient of every atom, from one call of `func` per kind."""
+    base, direction, t = (np.array([getattr(a, key) for a in atoms]) for key in ("base", "dir", "t"))
+    flux = t == 0.0
+    quotients = np.empty(len(atoms))
+    quotients[flux] = np.vecdot(func.gradient(base[flux]), direction[flux])
+    base, direction, t = base[~flux], direction[~flux], t[~flux]
+    quotients[~flux] = (func.value(base + t[:, None] * direction) - func.value(base)) / t
+    return quotients
+
+
 def ray_quotient(func: TestFunction, atom: PlanAtom) -> float:
     """(phi(base + t dir) - phi(base)) / t, or the directional derivative at t = 0."""
-    if atom.t == 0.0:
-        return float(np.dot(func.gradient(atom.base), atom.dir))
-    return (func.value(atom.head) - func.value(atom.base)) / atom.t
+    return float(_ray_quotients(func, (atom,))[0])
 
 
 def pair_plan(plan: GeneralizedPlan, func: TestFunction) -> float:
-    total = 0.0
-    for atom in plan.atoms:
-        total += atom.mass * ray_quotient(func, atom)
-    return total
+    """sum of mass * ray quotient over the plan's atoms, added in order."""
+    if not plan.atoms:
+        return 0.0
+    masses = np.array([atom.mass for atom in plan.atoms])
+    return ordered_sum(masses * _ray_quotients(func, plan.atoms))
 
 
 @dataclass(frozen=True)
@@ -166,14 +176,12 @@ def plan_from_vector_measure(nu: StructuredVectorMeasure) -> GeneralizedPlan:
         if norm == 0.0:
             raise ValidationError("zero-vector atom has no direction")
         atoms.append(PlanAtom(base=point, dir=vector / norm, t=0.0, mass=norm))
-    for a, b, density in zip(nu.seg_a, nu.seg_b, nu.seg_density):
+    points, weights = segment_quadrature(nu.seg_a, nu.seg_b)
+    for pts, w, density in zip(points, weights, nu.seg_density):
         norm = vec_norm(density)
         if norm == 0.0:
             continue
-        direction = density / norm
-        pts, w = segment_quadrature(a, b)
-        for q, wq in zip(pts, w):
-            atoms.append(PlanAtom(base=q, dir=direction, t=0.0, mass=norm * wq))
+        atoms += [PlanAtom(base=q, dir=density / norm, t=0.0, mass=norm * wq) for q, wq in zip(pts, w)]
     return GeneralizedPlan(tuple(atoms))
 
 

@@ -80,12 +80,13 @@ def dist(a, b) -> float:
 def ordered_sum(terms) -> float:
     """Sum of `terms` added left to right from 0.0.
 
-    ``np.cumsum`` adds strictly in order and 0.0 + x == x, so its last entry
-    has the bits of the loop ``total = 0.0; for t in terms: total += t``;
-    ``np.sum`` adds pairwise and rounds differently on longer inputs.
+    ``np.cumsum`` adds strictly in order, so its last entry plus 0.0 has the
+    bits of the loop ``total = 0.0; for t in terms: total += t`` (the 0.0
+    turns an all -0.0 sum into +0.0, as the loop's start does); ``np.sum``
+    adds pairwise and rounds differently on longer inputs.
     """
     terms = np.asarray(terms, dtype=float)
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    return float(np.cumsum(terms)[-1]) + 0.0 if terms.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -217,14 +218,13 @@ def gauss_legendre(n: int):
 
 
 def segment_quadrature(a, b, n: int = 8):
-    """Quadrature points on the segment [a, b] with weights summing to its length."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Gauss-Legendre points ``(..., n, dim)`` on the segments [a, b] and
+    weights ``(..., n)`` summing to their lengths, broadcast like :func:`dists`."""
+    a = np.asarray(a, dtype=float)[..., None, :]
+    b = np.asarray(b, dtype=float)[..., None, :]
     nodes, weights = gauss_legendre(n)
-    ts = 0.5 * (nodes + 1.0)
-    points = a[None, :] + ts[:, None] * (b - a)[None, :]
-    w = 0.5 * weights * dist(a, b)
-    return points, w
+    points = a + (0.5 * (nodes + 1.0))[:, None] * (b - a)
+    return points, 0.5 * weights * dists(a, b)
 
 
 def segment_cell_intervals(grid: Grid, a, b):

@@ -13,6 +13,7 @@ degree 8).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -174,6 +175,8 @@ class DipoleChain:
         if len({q.shape for pair in pairs for q in pair}) > 1:
             raise ValidationError("dipole endpoints have mismatched dimensions")
         object.__setattr__(self, "pairs", pairs)
+        # (m, 2, dim): p_i at [i, 0], n_i at [i, 1]
+        object.__setattr__(self, "_ends", np.array(pairs).reshape(-1, 2, self.dim))
         if self.tail is not None:
             ratio, first = float(self.tail[0]), float(self.tail[1])
             if not (0.0 < ratio < 1.0):
@@ -190,8 +193,7 @@ class DipoleChain:
         return self.pairs[0][0].size if self.pairs else 2
 
     def lengths(self) -> np.ndarray:
-        ends = np.array(self.pairs).reshape(-1, 2, self.dim)
-        return dists(ends[:, 0], ends[:, 1])
+        return dists(self._ends[:, 0], self._ends[:, 1])
 
     def tail_bound(self, k: int) -> float:
         """Certified bound on sum_{i>k} |p_i - n_i| (listed suffix + analytic tail)."""
@@ -208,11 +210,9 @@ class DipoleChain:
         return ordered_sum(np.concatenate([[analytic], self.lengths()[k:][::-1]]))
 
     def pair_with(self, func) -> float:
-        """sum_i u(p_i) - u(n_i) over the listed pairs."""
-        total = 0.0
-        for p, n in self.pairs:
-            total += func.value(p) - func.value(n)
-        return total
+        """sum_i u(p_i) - u(n_i) over the listed pairs, added in order."""
+        values = func.value(self._ends)
+        return ordered_sum(values[:, 0] - values[:, 1])
 
 
 @dataclass(frozen=True)
@@ -427,21 +427,16 @@ class Distribution:
         return Distribution(SignedAtomMeasure.empty(nu.dim), nu)
 
 
-def _cell_quadrature(grid: Grid, multi_index, n: int = 4):
+def _cell_quadrature(grid: Grid, flat, n: int = 4):
+    """Tensor Gauss-Legendre points ``(k, n**dim, dim)`` in the cells `flat`
+    (C-order indices) and the weights ``(n**dim,)`` they all share."""
     nodes, weights = gauss_legendre(n)
-    lo = grid.domain.lower + np.asarray(multi_index, dtype=float) * grid.cell_size
-    axes_pts = []
-    axes_w = []
-    for k in range(grid.dim):
-        h = grid.cell_size[k]
-        axes_pts.append(lo[k] + 0.5 * (nodes + 1.0) * h)
-        axes_w.append(0.5 * weights * h)
-    mesh = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    w = axes_w[0]
-    for k in range(1, grid.dim):
-        w = np.multiply.outer(w, axes_w[k])
-    return pts, w.ravel()
+    h = grid.cell_size
+    offsets = np.meshgrid(*((0.5 * (nodes + 1.0))[:, None] * h).T, indexing="ij")
+    axis_weights = np.meshgrid(*((0.5 * weights)[:, None] * h).T, indexing="ij")
+    w = functools.reduce(np.multiply, axis_weights)
+    lower = grid.domain.lower + np.stack(np.unravel_index(flat, grid.shape), axis=-1) * h
+    return lower[:, None] + np.stack(offsets, axis=-1).reshape(-1, grid.dim), w.ravel()
 
 
 def _check_quadrature_degree(func, has_segments: bool, has_cells: bool):
@@ -464,40 +459,34 @@ def _check_quadrature_degree(func, has_segments: bool, has_cells: bool):
         )
 
 
+def _quadrature_sums(func, vectors, points, weights) -> np.ndarray:
+    """Per row, sum_q weights[q] * (vectors . grad func(points[q])) added in
+    node order: `points` ``(k, n, dim)``, `vectors` ``(k, dim)``."""
+    terms = weights * np.vecdot(vectors[:, None], func.gradient(points))
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
 def pair(f: Distribution, func: TestFunction) -> float:
     """Evaluate <f, func>.
 
     The measure part contributes point values; the divergence part pairs the
-    gradient of `func` against the vector measure.
+    gradient of `func` against the vector measure.  `func` is called on the
+    point arrays of each part (:mod:`tranship.funcs`); the terms are added in
+    order: measure part, vector atoms, segments, nonzero cells.
     """
     nu = f.divergence_part
     _check_quadrature_degree(func, nu.n_segments > 0, nu.cells is not None)
-    total = 0.0
     m = f.measure_part
-    if len(m):
-        values = np.array([func.value(p) for p in m.points])
-        total += float(np.sum(m.masses * values))
-    for point, vector in zip(nu.atom_points, nu.atom_vectors):
-        total += float(np.dot(vector, func.gradient(point)))
-    for a, b, density in zip(nu.seg_a, nu.seg_b, nu.seg_density):
-        pts, w = segment_quadrature(a, b)
-        acc = 0.0
-        for q, wq in zip(pts, w):
-            acc += wq * float(np.dot(density, func.gradient(q)))
-        total += acc
+    terms = [
+        [np.sum(m.masses * func.value(m.points))] if len(m) else [],
+        np.vecdot(nu.atom_vectors, func.gradient(nu.atom_points)),
+        _quadrature_sums(func, nu.seg_density, *segment_quadrature(nu.seg_a, nu.seg_b)),
+    ]
     if nu.cells is not None:
-        grid = nu.cells.grid
-        for flat in range(grid.n_cells):
-            vector = nu.cells.vectors[flat]
-            if not np.any(vector):
-                continue
-            multi = np.unravel_index(flat, grid.shape)
-            pts, w = _cell_quadrature(grid, multi)
-            acc = 0.0
-            for q, wq in zip(pts, w):
-                acc += wq * float(np.dot(vector, func.gradient(q)))
-            total += acc
-    return total
+        flat = np.flatnonzero(np.any(nu.cells.vectors, axis=1))
+        points, weights = _cell_quadrature(nu.cells.grid, flat)
+        terms.append(_quadrature_sums(func, nu.cells.vectors[flat], points, weights))
+    return ordered_sum(np.concatenate(terms))
 
 
 def segment_projection(nu: StructuredVectorMeasure):

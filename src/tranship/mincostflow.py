@@ -31,7 +31,6 @@ so importing this module loads no scipy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +46,10 @@ ZERO_SUPPLY_RTOL = 1e-13
 
 @dataclass(frozen=True)
 class FlowSolution:
+    """Per-arc flows and node potentials; each caller sums its own cost."""
+
     arc_flows: np.ndarray  # flow >= 0 per input arc
     potentials: np.ndarray  # optimal dual values per node
-    cost: float
 
 
 def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
@@ -193,8 +193,6 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
 
     arc_flows = np.zeros(m)
     arc_flows[cheapest] = flow
-    used = flow != 0.0
-    total = math.fsum(flow[used] * cost[used])
     arc_flows.setflags(write=False)
     potential.setflags(write=False)
-    return FlowSolution(arc_flows=arc_flows, potentials=potential, cost=total)
+    return FlowSolution(arc_flows=arc_flows, potentials=potential)

@@ -17,6 +17,7 @@ the tangential divergence (its matching potential) and one per normal atom.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,31 +105,32 @@ def distance_to_sharp(nu: StructuredVectorMeasure) -> float:
 class ConeWitness:
     """max(0, max_i (heights_i - |x - apexes_i|)): 1-Lipschitz by construction.
 
-    ``apexes`` is ``(n, dim)`` and ``heights`` ``(n,)``.  The gradient is
-    that of the first maximal cone, or zero where the floor wins or at that
-    cone's apex; it is only meant to be evaluated where the winner is locally
-    smooth, which the constructions below arrange.
+    ``apexes`` is ``(n, dim)`` and ``heights`` ``(n,)``; points broadcast as
+    in :mod:`tranship.funcs`.  The gradient is that of the first maximal
+    cone, or +0 where the floor wins or at that cone's apex; it is only meant
+    to be evaluated where the winner is locally smooth, which the
+    constructions below arrange.
     """
 
     apexes: np.ndarray
     heights: np.ndarray
 
-    def _cones(self, point) -> np.ndarray:
-        return self.heights - dists(point, self.apexes)
+    def _cones(self, points) -> np.ndarray:
+        return self.heights - dists(np.asarray(points, dtype=float)[..., None, :], self.apexes)
 
-    def value(self, point) -> float:
-        return max(0.0, float(np.max(self._cones(point), initial=-np.inf)))
+    def value(self, points) -> np.ndarray:
+        best = np.max(self._cones(points), axis=-1, initial=-np.inf)
+        return np.where(best > 0.0, best, 0.0)
 
-    def gradient(self, point) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        cones = self._cones(point)
-        if not np.any(cones > 0.0):
-            return np.zeros(point.size)
-        d = point - self.apexes[np.argmax(cones)]
-        r = vec_norm(d)
-        if r == 0.0:
-            return np.zeros(point.size)
-        return -d / r
+    def gradient(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if not len(self.apexes):
+            return np.zeros(points.shape)
+        cones = self._cones(points)
+        d = points - self.apexes[np.argmax(cones, axis=-1)]
+        r = dists(d, 0.0)[..., None]
+        live = (np.max(cones, axis=-1, keepdims=True) > 0.0) & (r > 0.0)
+        return np.divide(-d, r, out=np.zeros(points.shape), where=live)
 
 
 def _coned_atoms(atom_points, atom_vectors):
@@ -336,31 +338,20 @@ def modulus(chain: DipoleChain, eps_list, seed: int = 0) -> ModulusCurve:
 
 class _ClippedAffine:
     """clip(w . x + b, -cap, cap): known sup norm and Lipschitz constant on the
-    box whose ``corners`` (rows) are given."""
+    box whose ``corners`` (rows) are given, read off the corner values."""
 
     def __init__(self, w, b, cap, corners):
         self.w = np.asarray(w, dtype=float)
         self.b = float(b)
         self.cap = float(cap)
-        affine = corners @ self.w + self.b
-        lo, hi = float(affine.min()), float(affine.max())
-        self.sup = max(abs(self._clip(lo)), abs(self._clip(hi)))
-        flat = hi <= -self.cap or lo >= self.cap or not np.any(self.w)
-        self.lip = 0.0 if flat else vec_norm(self.w)
+        at_corners = self.value(corners)
+        self.sup = float(np.max(np.abs(at_corners)))
+        # constant on the box: every corner clips to the same bound, or w = 0
+        self.lip = 0.0 if np.all(at_corners == at_corners[0]) else vec_norm(self.w)
 
-    def _clip(self, v: float) -> float:
-        return max(-self.cap, min(self.cap, v))
-
-    def value(self, point) -> float:
-        return self._clip(float(np.dot(self.w, np.asarray(point, dtype=float)) + self.b))
-
-
-def _box_corners(lo, hi):
-    dim = lo.size
-    corners = []
-    for mask in range(1 << dim):
-        corners.append([hi[k] if mask >> k & 1 else lo[k] for k in range(dim)])
-    return np.array(corners)
+    def value(self, points) -> np.ndarray:
+        affine = np.vecdot(np.asarray(points, dtype=float), self.w) + self.b
+        return np.clip(affine, -self.cap, self.cap)
 
 
 def verify_modulus_bound(
@@ -379,7 +370,7 @@ def verify_modulus_bound(
     pts = np.array([q for p, n in chain.pairs for q in (p, n)])
     lo = pts.min(axis=0) - 0.5
     hi = pts.max(axis=0) + 0.5
-    corners = _box_corners(lo, hi)
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
     remainder = chain.tail_bound(len(chain))
     worst = -np.inf
     for eps, c_const, _k in curve.samples:

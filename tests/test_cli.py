@@ -279,6 +279,24 @@ class TestCommands:
         assert body.splitlines()[0] == "eps,C,k"
         assert body.splitlines()[1] == "0.25,4,2"
 
+    def test_truncated_dipole_chain_is_one_report_warning(self, tmp_path):
+        doc = {
+            "version": 1,
+            "dipoles": {
+                "pairs": [
+                    {"p": [0.0, float(i)], "n": [2.0**-i, float(i)]} for i in range(1, 11)
+                ],
+                "tail": {"ratio": 0.5, "first_term": 1.0},
+            },
+            "options": {"truncation_eps": 0.001},
+        }
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert run(["connect", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["warnings"] == [
+            "dipole chain truncated: norm error bound 0.0009765625"
+        ]
+
     @pytest.mark.parametrize("fmt", ["svg", "ascii"])
     def test_modulus_rejects_raster_formats(self, tmp_path, capsys, fmt):
         chain = {"version": 1, "dipoles": {"pairs": [{"p": [0, 0], "n": [1, 0]}]}}
@@ -311,6 +329,26 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "validation error: density --format must be one of csv, svg, ascii, got 'json'\n"
         )
+
+    @pytest.mark.parametrize("fmt", ["svg", "ascii"])
+    def test_density_rejects_raster_formats_in_3d_before_solving(
+        self, tmp_path, capsys, monkeypatch, fmt
+    ):
+        import tranship.matchnorm
+
+        def no_solve(f):
+            raise AssertionError("density solved before checking the grid dimension")
+
+        monkeypatch.setattr(tranship.matchnorm, "minimal_connection", no_solve)
+        doc = {
+            "version": 1,
+            "atoms": [{"point": [0.0] * 3, "mass": 1.0}, {"point": [1.0] * 3, "mass": -1.0}],
+        }
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "density.out"
+        assert run(["density", path, "--grid", "2x2x2", "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"validation error: {fmt} export requires a 2-d grid\n"
+        assert not out.exists()
 
     def test_validation_exit_codes(self, tmp_path):
         assert run(["connect", str(tmp_path / "missing.json")]) == 2

@@ -29,7 +29,6 @@ def assert_certified(n_nodes, arcs, costs, supply, sol, tol=1e-9):
     out = np.bincount(tail, weights=sol.arc_flows, minlength=n_nodes)
     into = np.bincount(head, weights=sol.arc_flows, minlength=n_nodes)
     assert np.max(np.abs(out - into - supply)) <= tol * max(1.0, np.sum(np.abs(supply)))
-    assert abs(sol.cost - float(np.dot(sol.arc_flows, costs))) <= tol * max(1.0, sol.cost)
 
 
 def both_directions(net):
@@ -55,7 +54,7 @@ class TestArcs:
         costs = np.array([3.0, 1.0, 2.0, 0.5])
         sol = solve_min_cost_flow(2, arcs, costs, np.array([1.0, -1.0]))
         assert sol.arc_flows.tolist() == [0.0, 1.0, 0.0, 0.0]
-        assert sol.cost == 1.0
+        assert np.dot(sol.arc_flows, costs) == 1.0
         assert sol.potentials[0] - sol.potentials[1] == 1.0
 
     def test_canceling_arcs_next_to_duplicate_forward_arcs(self):
@@ -68,7 +67,7 @@ class TestArcs:
         arcs = np.vstack([np.stack([i, j], axis=1)] * 2)
         costs = np.concatenate([np.abs(x[i] - x[j]), np.abs(x[i] - x[j]) + 1.0])
         sol = solve_min_cost_flow(4, arcs, costs, supply)
-        assert abs(sol.cost - 3.0) <= 1e-12
+        assert abs(np.dot(sol.arc_flows, costs) - 3.0) <= 1e-12
         assert np.all(sol.arc_flows[i.size:] == 0.0)
         assert_certified(4, arcs, costs, supply, sol)
 
@@ -76,7 +75,7 @@ class TestArcs:
         arcs = np.array([[0, 1], [1, 2], [0, 2]])
         costs = np.array([0.0, 0.0, 1.0])
         sol = solve_min_cost_flow(3, arcs, costs, np.array([1.0, 0.0, -1.0]))
-        assert sol.cost == 0.0
+        assert np.dot(sol.arc_flows, costs) == 0.0
         assert sol.arc_flows.tolist() == [1.0, 1.0, 0.0]
         assert np.all(sol.potentials == sol.potentials[0])
 
@@ -87,7 +86,7 @@ class TestArcs:
         supply[[n - 1, 0]] = [1.0, -1.0]
         sol = solve_min_cost_flow(n, np.array([[n - 1, 0]]), np.array([2.0]), supply)
         assert sol.arc_flows.tolist() == [1.0]
-        assert sol.cost == 2.0
+        assert np.dot(sol.arc_flows, [2.0]) == 2.0
 
 
 class TestFailures:

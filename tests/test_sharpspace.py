@@ -445,9 +445,9 @@ class TestDualAttainmentAndContinuity:
             sup = 1.0 / n
 
             class Scaled:
-                def value(self, point):
-                    # 1-Lipschitz sawtooth capped at sup: known norms
-                    return min(sup, max(-sup, float(point[0]) - 0.25))
+                def value(self, points):
+                    # 1-Lipschitz ramp in x[0] capped at sup: known norms
+                    return np.clip(np.asarray(points)[..., 0] - 0.25, -sup, sup)
 
             observed = abs(chain.pair_with(Scaled())) + chain.tail_bound(len(chain)) * lip
             envelope = min(c * sup + eps * lip for eps, c, _k in curve.samples)
