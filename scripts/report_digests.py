@@ -7,10 +7,10 @@ with ``--out``, and prints one line per job:
 
     workload job exit sha256(out) sha256(stderr) warnings
 
-Three lines of workload ``pairing`` follow, for documents seeded here from
+Five lines of workload ``pairing`` follow, for documents seeded here from
 ``--seed`` and ``--variant`` (see :func:`pairing_documents`): they reach
-test functions, cell fields and 3-d pairings, which no benchmark document
-does.
+test functions, cell fields, 3-d pairings, a 3-d plan raster and a 3-d
+modulus spot-check, which no benchmark document does.
 
 ``-`` stands for a job that wrote no output file; ``warnings`` is the length
 of a JSON report's ``warnings`` list, or ``-`` for any other output.  The
@@ -58,11 +58,11 @@ def digest_lines(seed: int, variant: int, tiny: bool):
                 argv = [job["command"], docs[job["doc"]][0], *job["flags"]]
                 yield f"{workload} {job['id']} {_digest_job(argv, work)}"
     with tempfile.TemporaryDirectory() as work:
-        for name, (command, doc) in pairing_documents(seed, variant).items():
+        for name, (command, doc, flags) in pairing_documents(seed, variant).items():
             path = os.path.join(work, f"{name}.json")
             with open(path, "w") as fh:
                 json.dump(doc, fh)
-            yield f"pairing {command}:{name} {_digest_job([command, path], work)}"
+            yield f"pairing {command}:{name} {_digest_job([command, path, *flags], work)}"
 
 
 def _unit(v):
@@ -156,18 +156,34 @@ def _certified_3d_document(rng) -> dict:
     return {"version": 1, "segments": segments, "vector_atoms": atoms}
 
 
+def _dipole_3d_document(rng, n_pairs=12) -> dict:
+    """3-d dipoles of geometrically shrinking length with a valid analytic
+    tail, the 3-d form of the benchmark's dipole document."""
+    ratio, first = float(rng.uniform(0.6, 0.8)), float(rng.uniform(0.2, 0.5))
+    pairs = []
+    for i in range(n_pairs):
+        p = rng.uniform(0.0, 1.0, size=3)
+        pairs.append({"p": _rows(p), "n": _rows(p + first * ratio**i * _unit(rng.normal(size=3)))})
+    tail = {"ratio": ratio, "first_term": first / (1.0 - ratio)}
+    return {"version": 1, "dipoles": {"pairs": pairs, "tail": tail}, "options": {"eps": [0.3, 0.02, 1e-4]}}
+
+
 def pairing_documents(seed: int, variant: int) -> dict:
-    """``name -> (command, document)`` for the paths the benchmark's
+    """``name -> (command, document, flags)`` for the paths the benchmark's
     documents leave out: pairings against coordinate, polynomial and radial
-    bump test functions, cell fields and 3-d geometry.  Every job exits 0
-    with no report warnings."""
+    bump test functions, cell fields and 3-d geometry, including the
+    rasterized 3-d plan and a 3-d modulus.  Every job exits 0 with no report
+    warnings."""
     def rng_for(name):
         return np.random.default_rng([seed, variant, zlib.crc32(name.encode())])
 
+    functions_3d = _plan_check_document(rng_for("functions-3d"), 3)
     return {
-        "functions-2d": ("plan-check", _plan_check_document(rng_for("functions-2d"), 2)),
-        "functions-3d": ("plan-check", _plan_check_document(rng_for("functions-3d"), 3)),
-        "certified-3d": ("decompose", _certified_3d_document(rng_for("certified-3d"))),
+        "functions-2d": ("plan-check", _plan_check_document(rng_for("functions-2d"), 2), []),
+        "functions-3d": ("plan-check", functions_3d, []),
+        "certified-3d": ("decompose", _certified_3d_document(rng_for("certified-3d")), []),
+        "dipoles-3d": ("modulus", _dipole_3d_document(rng_for("dipoles-3d")), ["--format", "json"]),
+        "raster-3d": ("density", functions_3d, ["--grid", "4x4x4", "--format", "csv"]),
     }
 
 

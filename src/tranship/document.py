@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .funcs import Coordinate, Polynomial, RadialBump, polynomial_family
-from .genplan import GeneralizedPlan, PlanAtom
+from .genplan import GeneralizedPlan
 from .geom import Domain, Grid
 from .measures import (
     CellField,
@@ -202,21 +202,13 @@ def parse_document(data: dict) -> ProblemDocument:
         _require_keys(entry, keys, where)
         vector_atoms.append(tuple(_point_at(entry, key, where) for key in keys))
 
-    plan = None
-    if "plan" in data:
-        plan_atoms = []
-        for k, entry in enumerate(data["plan"]):
-            where = f"plan[{k}]"
-            _require_keys(entry, {"base", "dir", "t", "mass"}, where)
-            plan_atoms.append(
-                PlanAtom(
-                    base=_point_at(entry, "base", where),
-                    dir=_point_at(entry, "dir", where),
-                    t=_number_at(entry, "t", where),
-                    mass=_number_at(entry, "mass", where),
-                )
-            )
-        plan = GeneralizedPlan(tuple(plan_atoms))
+    plan_atoms = []
+    for k, entry in enumerate(data.get("plan", [])):
+        where = f"plan[{k}]"
+        _require_keys(entry, {"base", "dir", "t", "mass"}, where)
+        base, direction = (_point_at(entry, key, where) for key in ("base", "dir"))
+        t, mass = (_number_at(entry, key, where) for key in ("t", "mass"))
+        plan_atoms.append((base, direction, t, mass))
 
     options = data.get("options", {})
     if not isinstance(options, dict):
@@ -239,14 +231,15 @@ def parse_document(data: dict) -> ProblemDocument:
         dims.update({len(a), len(b), len(d)})
     for p, v in vector_atoms:
         dims.update({len(p), len(v)})
-    if plan is not None and len(plan):
-        dims.add(plan.atoms[0].base.size)
+    for base, direction, _t, _mass in plan_atoms:
+        dims.update({len(base), len(direction)})
     if "domain" in data:
         _require_keys(data["domain"], {"lower", "upper"}, "domain")
         dims.add(len(_get(data["domain"], "lower", "domain")))
     if len(dims) > 1:
         raise ValidationError(f"mixed dimensions in document: {sorted(dims)}")
     dim = dims.pop() if dims else 2
+    plan = GeneralizedPlan.from_atoms(plan_atoms, dim) if "plan" in data else None
 
     if "cells" in data:
         _require_keys(data["cells"], {"resolution", "vectors", "domain"}, "cells")
@@ -256,16 +249,15 @@ def parse_document(data: dict) -> ProblemDocument:
     measure = SignedAtomMeasure.from_atoms(atoms, dim=dim)
 
     geometry = [measure.points] if len(measure) else []
-    if dipoles is not None:
-        for p, n in dipoles.pairs:
-            geometry.append(np.vstack([p, n]))
+    if dipoles is not None and len(dipoles):
+        geometry.append(dipoles.pairs.reshape(-1, dim))
     for a, b, _ in segments:
         geometry.append(np.array([a, b], dtype=float))
     for p, _ in vector_atoms:
         geometry.append(np.array([p], dtype=float))
-    if plan is not None:
-        for atom in plan.atoms:
-            geometry.append(np.vstack([atom.base, atom.head]))
+    if plan is not None and len(plan):
+        heads = plan.base + plan.t[:, None] * plan.dir
+        geometry.append(np.stack([plan.base, heads], axis=1).reshape(-1, dim))
 
     if "domain" in data:
         domain = _parse_domain(data["domain"], "domain")

@@ -4,17 +4,20 @@ A plan atom (x, v, t, m) pairs with a test function through the ray quotient
 (phi(x + t v) - phi(x)) / t, degenerating to the directional derivative at
 t = 0.  Plans embed both classical transport plans (t > 0 rays) and flux
 measures (t = 0 atoms), and convert back to structured vector measures whose
-distributional divergence reproduces the same pairing.
+distributional divergence reproduces the same pairing.  A plan is stored as
+columns, one row per atom, like :class:`~tranship.matchnorm.Matching`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ValidationError
 from .funcs import TestFunction
-from .geom import as_point, dists, ordered_sum, segment_quadrature, vec_norm
+from .geom import dists, ordered_sum, segment_quadrature, vec_norm
 from .matchnorm import Matching
 from .measures import Distribution, StructuredVectorMeasure, pair
 
@@ -39,74 +42,93 @@ FINITE_FAMILY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class PlanAtom:
-    """Mass at (base, dir, t): a transport ray for t > 0, a flux element at t = 0."""
+class PlanAtom(NamedTuple):
+    """One plan row: a transport ray for t > 0, a flux element at t = 0."""
 
     base: np.ndarray
     dir: np.ndarray
     t: float
     mass: float
 
+
+@dataclass(frozen=True, eq=False)
+class GeneralizedPlan:
+    """Atom i at ``(base[i], dir[i], t[i], mass[i])``: read-only ``(n, dim)`` points
+    and directions, ``(n,)`` lengths and masses.  Directions must be unit, t
+    nonnegative and masses positive; the first atom that breaks a rule names it."""
+
+    base: np.ndarray
+    dir: np.ndarray
+    t: np.ndarray
+    mass: np.ndarray
+
     def __post_init__(self):
-        object.__setattr__(self, "base", as_point(self.base))
-        object.__setattr__(self, "dir", as_point(self.dir))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "mass", float(self.mass))
-        if self.base.shape != self.dir.shape:
+        base, direction, t, mass = (np.array(c, dtype=float) for c in self._columns())
+        if not (base.ndim == 2 and direction.shape == base.shape
+                and t.shape == mass.shape == base.shape[:1]):
             raise ValidationError("plan atom base and direction dimension mismatch")
-        if abs(vec_norm(self.dir) - 1.0) > UNIT_DIR_TOL:
-            raise ValidationError(f"plan atom direction must be unit, |v| = {vec_norm(self.dir)!r}")
-        if self.t < 0.0:
-            raise ValidationError("plan atom t must be nonnegative")
-        if not self.mass > 0.0:
-            raise ValidationError("plan atom mass must be positive")
+        norms = dists(direction, 0.0)
+        failed = np.stack([~np.isfinite(base).all(axis=1), ~(np.abs(norms - 1.0) <= UNIT_DIR_TOL),
+                           t < 0.0, ~(mass > 0.0)], axis=1)
+        if failed.any():
+            i, rule = np.argwhere(failed)[0]
+            raise ValidationError((
+                f"point has non-finite coordinates: {base[i].tolist()!r}",
+                f"plan atom direction must be unit, |v| = {vec_norm(direction[i])!r}",
+                "plan atom t must be nonnegative", "plan atom mass must be positive",
+            )[rule])
+        for name, column in zip(("base", "dir", "t", "mass"), (base, direction, t, mass)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    @staticmethod
+    def from_atoms(atoms, dim: int) -> "GeneralizedPlan":
+        """The plan of (base, dir, t, mass) rows such as :class:`PlanAtom`s,
+        in `dim` dimensions."""
+        base, direction, t, mass = tuple(zip(*atoms)) or ((),) * 4
+        try:
+            points = [np.array(c, float).reshape(len(c), dim) for c in (base, direction)]
+        except ValueError as exc:
+            raise ValidationError(f"plan atoms need {dim}-d base and direction") from exc
+        return GeneralizedPlan(*points, t, mass)
+
+    def _columns(self) -> tuple:
+        return self.base, self.dir, self.t, self.mass
 
     @property
-    def head(self) -> np.ndarray:
-        return self.base + self.t * self.dir
-
-
-@dataclass(frozen=True)
-class GeneralizedPlan:
-    atoms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+    def atoms(self) -> tuple:
+        """The rows as :class:`PlanAtom`s, with Python-float t and mass."""
+        return tuple(map(PlanAtom, self.base, self.dir, self.t.tolist(), self.mass.tolist()))
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.t)
 
     def __add__(self, other: "GeneralizedPlan") -> "GeneralizedPlan":
-        return GeneralizedPlan(self.atoms + other.atoms)
+        return GeneralizedPlan(*map(np.concatenate, zip(self._columns(), other._columns())))
 
     @property
     def total_variation(self) -> float:
-        return ordered_sum([atom.mass for atom in self.atoms])
+        return ordered_sum(self.mass)
 
 
-def _ray_quotients(func: TestFunction, atoms) -> np.ndarray:
+def _ray_quotients(func: TestFunction, plan: GeneralizedPlan) -> np.ndarray:
     """The ray quotient of every atom, from one call of `func` per kind."""
-    base, direction, t = (np.array([getattr(a, key) for a in atoms]) for key in ("base", "dir", "t"))
-    flux = t == 0.0
-    quotients = np.empty(len(atoms))
-    quotients[flux] = np.vecdot(func.gradient(base[flux]), direction[flux])
-    base, direction, t = base[~flux], direction[~flux], t[~flux]
+    flux = plan.t == 0.0
+    quotients = np.empty(len(plan))
+    quotients[flux] = np.vecdot(func.gradient(plan.base[flux]), plan.dir[flux])
+    base, direction, t = plan.base[~flux], plan.dir[~flux], plan.t[~flux]
     quotients[~flux] = (func.value(base + t[:, None] * direction) - func.value(base)) / t
     return quotients
 
 
 def ray_quotient(func: TestFunction, atom: PlanAtom) -> float:
     """(phi(base + t dir) - phi(base)) / t, or the directional derivative at t = 0."""
-    return float(_ray_quotients(func, (atom,))[0])
+    return float(_ray_quotients(func, GeneralizedPlan.from_atoms((atom,), len(atom.base)))[0])
 
 
 def pair_plan(plan: GeneralizedPlan, func: TestFunction) -> float:
     """sum of mass * ray quotient over the plan's atoms, added in order."""
-    if not plan.atoms:
-        return 0.0
-    masses = np.array([atom.mass for atom in plan.atoms])
-    return ordered_sum(masses * _ray_quotients(func, plan.atoms))
+    return ordered_sum(plan.mass * _ray_quotients(func, plan)) if len(plan) else 0.0
 
 
 @dataclass(frozen=True)
@@ -147,18 +169,15 @@ def plan_from_matching(matching: Matching) -> GeneralizedPlan:
     Each edge from source x to target y with mass m becomes an atom based at
     y, pointing back toward x, with length |x - y| and mass m |x - y|; this
     makes the plan pairing reproduce sum m (phi(x) - phi(y)) identically,
-    and the plan's total variation equal the matching cost.
+    and the plan's total variation equal the matching cost.  Zero-length
+    edges are dropped.
     """
-    sources = matching.points[matching.edges[:, 0]]
-    targets = matching.points[matching.edges[:, 1]]
-    lengths = dists(sources, targets).tolist()
-    atoms = []
-    for source, target, mass, length in zip(sources, targets, matching.masses.tolist(), lengths):
-        if length == 0.0:
-            continue
-        direction = (source - target) / length
-        atoms.append(PlanAtom(base=target, dir=direction, t=length, mass=mass * length))
-    return GeneralizedPlan(tuple(atoms))
+    lengths = dists(*matching.points[matching.edges.T])
+    keep = lengths != 0.0
+    sources, targets = matching.points[matching.edges[keep].T]
+    lengths = lengths[keep]
+    direction = (sources - targets) / lengths[:, None]
+    return GeneralizedPlan(targets, direction, lengths, matching.masses[keep] * lengths)
 
 
 def plan_from_vector_measure(nu: StructuredVectorMeasure) -> GeneralizedPlan:
@@ -170,19 +189,19 @@ def plan_from_vector_measure(nu: StructuredVectorMeasure) -> GeneralizedPlan:
     """
     if nu.cells is not None:
         raise ValidationError("plan embedding does not accept cell fields")
-    atoms = []
-    for point, vector in zip(nu.atom_points, nu.atom_vectors):
-        norm = vec_norm(vector)
-        if norm == 0.0:
-            raise ValidationError("zero-vector atom has no direction")
-        atoms.append(PlanAtom(base=point, dir=vector / norm, t=0.0, mass=norm))
-    points, weights = segment_quadrature(nu.seg_a, nu.seg_b)
-    for pts, w, density in zip(points, weights, nu.seg_density):
-        norm = vec_norm(density)
-        if norm == 0.0:
-            continue
-        atoms += [PlanAtom(base=q, dir=density / norm, t=0.0, mass=norm * wq) for q, wq in zip(pts, w)]
-    return GeneralizedPlan(tuple(atoms))
+    norms = dists(nu.atom_vectors, 0.0)
+    if np.any(norms == 0.0):
+        raise ValidationError("zero-vector atom has no direction")
+    seg_norms = dists(nu.seg_density, 0.0)
+    live = seg_norms != 0.0  # a zero density carries no mass
+    points, weights = segment_quadrature(nu.seg_a[live], nu.seg_b[live])
+    directions = np.repeat(nu.seg_density[live] / seg_norms[live, None], weights.shape[1], axis=0)
+    return GeneralizedPlan(
+        np.concatenate([nu.atom_points, points.reshape(-1, nu.dim)]),
+        np.concatenate([nu.atom_vectors / norms[:, None], directions]),
+        np.zeros(len(norms) + weights.size),
+        np.concatenate([norms, (seg_norms[live, None] * weights).ravel()]),
+    )
 
 
 def to_vector_measure(plan: GeneralizedPlan) -> StructuredVectorMeasure:
@@ -193,19 +212,15 @@ def to_vector_measure(plan: GeneralizedPlan) -> StructuredVectorMeasure:
     total variation never exceeds the plan's, with equality when the plan
     comes from an optimal matching.
     """
-    atoms = []
-    segments = []
-    for atom in plan.atoms:
-        if atom.t == 0.0:
-            atoms.append((atom.base, atom.mass * atom.dir))
-        else:
-            segments.append((atom.base, atom.head, (atom.mass / atom.t) * atom.dir))
-    dim = plan.atoms[0].base.size if plan.atoms else 2
-    return StructuredVectorMeasure.build(dim, atoms=atoms, segments=segments, validate=False)
+    flux, rays = split(plan)
+    t = rays.t[:, None]
+    return StructuredVectorMeasure(
+        plan.base.shape[1], flux.base, flux.mass[:, None] * flux.dir,
+        rays.base, rays.base + t * rays.dir, (rays.mass[:, None] / t) * rays.dir, validate=False,
+    )
 
 
 def split(plan: GeneralizedPlan):
     """Partition into (flux part at t = 0, ray part at t > 0); order preserved."""
-    flux = tuple(a for a in plan.atoms if a.t == 0.0)
-    rays = tuple(a for a in plan.atoms if a.t != 0.0)
-    return GeneralizedPlan(flux), GeneralizedPlan(rays)
+    flux = plan.t == 0.0
+    return tuple(GeneralizedPlan(*(c[keep] for c in plan._columns())) for keep in (flux, ~flux))

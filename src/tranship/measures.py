@@ -161,22 +161,28 @@ class SignedAtomMeasure:
         return self.points[keep], -self.masses[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DipoleChain:
     """Ordered dipole pairs (p_i, n_i), optionally with a guaranteed geometric
     bound ``sum_{i>k} |p_i - n_i| <= first_term * ratio^k`` for the unlisted
-    remainder (valid for every k >= number of listed pairs)."""
+    remainder (valid for every k >= number of listed pairs).  ``pairs`` is one
+    read-only ``(m, 2, dim)`` array: p_i at ``[i, 0]``, n_i at ``[i, 1]``."""
 
-    pairs: tuple
+    pairs: np.ndarray
     tail: Optional[tuple] = None  # (ratio, first_term)
 
     def __post_init__(self):
-        pairs = tuple((as_point(p), as_point(n)) for p, n in self.pairs)
-        if len({q.shape for pair in pairs for q in pair}) > 1:
-            raise ValidationError("dipole endpoints have mismatched dimensions")
+        try:
+            pairs = np.array(self.pairs, float) if len(self.pairs) else np.zeros((0, 2, 2))
+        except ValueError as exc:
+            raise ValidationError("dipole endpoints have mismatched dimensions") from exc
+        if pairs.ndim != 3 or pairs.shape[1] != 2 or not pairs.shape[2]:
+            raise ValidationError(f"dipoles must be (p, n) point pairs, got shape {pairs.shape}")
+        if not np.all(np.isfinite(pairs)):
+            i, j = np.argwhere(~np.isfinite(pairs).all(axis=2))[0]
+            raise ValidationError(f"point has non-finite coordinates: {self.pairs[i][j]!r}")
+        pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
-        # (m, 2, dim): p_i at [i, 0], n_i at [i, 1]
-        object.__setattr__(self, "_ends", np.array(pairs).reshape(-1, 2, self.dim))
         if self.tail is not None:
             ratio, first = float(self.tail[0]), float(self.tail[1])
             if not (0.0 < ratio < 1.0):
@@ -190,10 +196,10 @@ class DipoleChain:
 
     @property
     def dim(self) -> int:
-        return self.pairs[0][0].size if self.pairs else 2
+        return self.pairs.shape[2]
 
     def lengths(self) -> np.ndarray:
-        return dists(self._ends[:, 0], self._ends[:, 1])
+        return dists(self.pairs[:, 0], self.pairs[:, 1])
 
     def tail_bound(self, k: int) -> float:
         """Certified bound on sum_{i>k} |p_i - n_i| (listed suffix + analytic tail)."""
@@ -211,7 +217,7 @@ class DipoleChain:
 
     def pair_with(self, func) -> float:
         """sum_i u(p_i) - u(n_i) over the listed pairs, added in order."""
-        values = func.value(self._ends)
+        values = func.value(self.pairs)
         return ordered_sum(values[:, 0] - values[:, 1])
 
 
@@ -558,9 +564,6 @@ def from_dipoles(chain: DipoleChain, truncation_eps: float = 0.0):
                 f"{truncation_eps!r}; the achievable floor with the listed "
                 f"pairs is {error_bound!r}"
             )
-    atoms = []
-    for p, n in chain.pairs:
-        atoms.append((p, 1.0))
-        atoms.append((n, -1.0))
-    measure = SignedAtomMeasure.from_atoms(atoms, dim=chain.dim)
+    points = chain.pairs.reshape(-1, chain.dim)  # p_0, n_0, p_1, n_1, ...
+    measure = SignedAtomMeasure(points, np.tile([1.0, -1.0], len(chain)))
     return Distribution.from_measure(measure), error_bound

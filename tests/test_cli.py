@@ -350,6 +350,20 @@ class TestCommands:
         assert capsys.readouterr().err == f"validation error: {fmt} export requires a 2-d grid\n"
         assert not out.exists()
 
+    def test_plan_of_mixed_dimensions_is_a_validation_error(self, tmp_path, capsys):
+        doc = dict(UNIT_DIPOLE_DOC, plan=[
+            {"base": [1, 0], "dir": [-1, 0], "t": 1, "mass": 1},
+            {"base": [1, 0, 0], "dir": [-1, 0, 0], "t": 1, "mass": 1},
+        ])
+        assert run(["plan-check", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "validation error: mixed dimensions in document: [2, 3]\n"
+
+    def test_density_of_an_empty_3d_plan_is_all_zero(self, tmp_path, capsys):
+        doc = {"version": 1, "domain": {"lower": [0, 0, 0], "upper": [1, 1, 1]}, "plan": []}
+        assert run(["density", write_doc(tmp_path, doc), "--grid", "2x2x2", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 9 and all(row.endswith(",0.0") for row in rows[1:])
+
     def test_validation_exit_codes(self, tmp_path):
         assert run(["connect", str(tmp_path / "missing.json")]) == 2
         unbalanced = {

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tranship.beckmann import complete_network, flow_to_vector_measure, solve_beckmann
+from tranship.document import parse_document
 from tranship.errors import ValidationError
 from tranship.funcs import Coordinate, Polynomial, polynomial_family
 from tranship.genplan import (
@@ -33,6 +35,10 @@ def atom(base, direction, t, mass):
     return PlanAtom(base=np.array(base), dir=np.array(direction), t=t, mass=mass)
 
 
+def plan_of(*atoms):
+    return GeneralizedPlan.from_atoms(atoms, dim=2)
+
+
 class TestRayQuotient:
     def test_ray_against_coordinate(self):
         assert ray_quotient(X, atom((0.0, 0.0), (1.0, 0.0), 2.0, 1.0)) == 1.0
@@ -59,11 +65,11 @@ class TestRayQuotient:
 
 class TestPairPlan:
     def test_single_ray(self):
-        plan = GeneralizedPlan((atom((0.0, 0.0), (1.0, 0.0), 2.0, 2.0),))
+        plan = plan_of(atom((0.0, 0.0), (1.0, 0.0), 2.0, 2.0))
         assert pair_plan(plan, X) == 2.0
 
     def test_empty_plan(self):
-        assert pair_plan(GeneralizedPlan(()), X) == 0.0
+        assert pair_plan(plan_of(), X) == 0.0
 
     def test_unit_dipole_embedding_sign(self, unit_dipole):
         # <f, x> = phi(0,0) - phi(1,0) = -1
@@ -163,7 +169,7 @@ class TestFromVectorMeasure:
 
 class TestToVectorMeasure:
     def test_ray_becomes_tangential_segment(self):
-        plan = GeneralizedPlan((atom((0.0, 0.0), (1.0, 0.0), 2.0, 2.0),))
+        plan = plan_of(atom((0.0, 0.0), (1.0, 0.0), 2.0, 2.0))
         nu = to_vector_measure(plan)
         assert nu.n_segments == 1 and nu.n_atoms == 0
         assert nu.seg_a[0].tolist() == [0.0, 0.0]
@@ -172,7 +178,7 @@ class TestToVectorMeasure:
         assert abs(nu.total_variation - 2.0) <= 1e-15
 
     def test_flux_becomes_vector_atom(self):
-        plan = GeneralizedPlan((atom((1.0, 1.0), (0.0, 1.0), 0.0, 3.0),))
+        plan = plan_of(atom((1.0, 1.0), (0.0, 1.0), 0.0, 3.0))
         nu = to_vector_measure(plan)
         assert nu.n_atoms == 1 and nu.n_segments == 0
         assert nu.atom_points[0].tolist() == [1.0, 1.0]
@@ -205,25 +211,23 @@ class TestToVectorMeasure:
                         float(rng.uniform(0.1, 2.0)),
                     )
                 )
-            plan = GeneralizedPlan(tuple(atoms))
+            plan = plan_of(*atoms)
             nu = to_vector_measure(plan)
             assert nu.total_variation <= plan.total_variation * (1.0 + 1e-12)
 
 
 class TestSplit:
     def test_mixed_plan(self):
-        plan = GeneralizedPlan(
-            (
-                atom((0.0, 0.0), (1.0, 0.0), 0.0, 1.5),
-                atom((0.0, 0.0), (1.0, 0.0), 2.0, 2.5),
-            )
+        plan = plan_of(
+            atom((0.0, 0.0), (1.0, 0.0), 0.0, 1.5),
+            atom((0.0, 0.0), (1.0, 0.0), 2.0, 2.5),
         )
         flux, rays = split(plan)
         assert len(flux) == 1 and len(rays) == 1
         assert flux.total_variation + rays.total_variation == 4.0
 
     def test_all_rays(self):
-        plan = GeneralizedPlan((atom((0.0, 0.0), (1.0, 0.0), 1.0, 1.0),))
+        plan = plan_of(atom((0.0, 0.0), (1.0, 0.0), 1.0, 1.0))
         flux, rays = split(plan)
         assert len(flux) == 0 and len(rays) == 1
 
@@ -241,9 +245,7 @@ class TestVerifyProjection:
     def test_perturbed_mass_fails(self, unit_dipole):
         matching = minimal_connection(unit_dipole)
         plan = plan_from_matching(matching)
-        bad = GeneralizedPlan(
-            (PlanAtom(plan.atoms[0].base, plan.atoms[0].dir, plan.atoms[0].t, plan.atoms[0].mass + 0.1),)
-        )
+        bad = plan_of(plan.atoms[0]._replace(mass=plan.atoms[0].mass + 0.1))
         family = polynomial_family(2, 3)
         report = verify_projection(bad, Distribution.from_measure(unit_dipole), family, tol=1e-10)
         assert not report.passed
@@ -251,7 +253,7 @@ class TestVerifyProjection:
 
     def test_zero_against_zero_passes(self):
         report = verify_projection(
-            GeneralizedPlan(()),
+            plan_of(),
             Distribution.from_measure(SignedAtomMeasure.empty()),
             polynomial_family(2, 2),
             tol=0.0,
@@ -261,7 +263,7 @@ class TestVerifyProjection:
     def test_empty_family_rejected(self, unit_dipole):
         with pytest.raises(ValidationError):
             verify_projection(
-                GeneralizedPlan(()),
+                plan_of(),
                 Distribution.from_measure(unit_dipole),
                 (),
                 tol=1e-9,
@@ -270,13 +272,42 @@ class TestVerifyProjection:
 
 class TestPlanAtomValidation:
     def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValidationError):
-            PlanAtom(np.zeros(2), np.array([1.0, 1.0]), 1.0, 1.0)
+        with pytest.raises(ValidationError, match=r"direction must be unit, \|v\| = 1.414"):
+            plan_of(PlanAtom(np.zeros(2), np.array([1.0, 1.0]), 1.0, 1.0))
 
     def test_negative_t_rejected(self):
-        with pytest.raises(ValidationError):
-            PlanAtom(np.zeros(2), np.array([1.0, 0.0]), -1.0, 1.0)
+        with pytest.raises(ValidationError, match="t must be nonnegative"):
+            plan_of(PlanAtom(np.zeros(2), np.array([1.0, 0.0]), -1.0, 1.0))
 
     def test_nonpositive_mass_rejected(self):
-        with pytest.raises(ValidationError):
-            PlanAtom(np.zeros(2), np.array([1.0, 0.0]), 1.0, 0.0)
+        with pytest.raises(ValidationError, match="mass must be positive"):
+            plan_of(PlanAtom(np.zeros(2), np.array([1.0, 0.0]), 1.0, 0.0))
+
+    def test_first_failing_atom_names_the_rule(self):
+        # atom 0 breaks the t rule, atom 1 the earlier unit-direction rule
+        with pytest.raises(ValidationError, match="t must be nonnegative"):
+            plan_of(atom((0.0, 0.0), (1.0, 0.0), -1.0, 1.0), atom((0.0, 0.0), (1.0, 1.0), 1.0, 1.0))
+
+    def test_rows_are_the_columns_with_python_float_t_and_mass(self, rng):
+        plan = plan_from_matching(minimal_connection(random_balanced_measure(rng, max_pairs=6)))
+        assert len(plan.atoms) == len(plan) > 0
+        for k, row in enumerate(plan.atoms):
+            assert type(row.t) is float and type(row.mass) is float
+            assert (row.t, row.mass) == (plan.t[k], plan.mass[k])
+            assert row.base.tolist() == plan.base[k].tolist() and row.dir.tolist() == plan.dir[k].tolist()
+        # the rows dumped as a document's plan read back as the same columns
+        rows = [{"base": a.base.tolist(), "dir": a.dir.tolist(), "t": a.t, "mass": a.mass} for a in plan.atoms]
+        loaded = parse_document(json.loads(json.dumps({"version": 1, "plan": rows}))).plan
+        for got, want in zip(loaded._columns(), plan._columns()):
+            assert got.tolist() == want.tolist()
+
+    def test_columns_are_read_only(self):
+        plan = plan_of(atom((0.0, 0.0), (1.0, 0.0), 1.0, 1.0))
+        for column in (plan.base, plan.dir, plan.t, plan.mass):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_empty_plan_keeps_its_dimension(self):
+        plan = GeneralizedPlan.from_atoms((), dim=3)
+        assert plan.base.shape == plan.dir.shape == (0, 3) and len(plan) == 0
+        assert to_vector_measure(plan).dim == 3

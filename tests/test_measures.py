@@ -457,3 +457,36 @@ class TestFromDipoles:
         chain = DipoleChain((((0.0, 0.0), (1.0, 0.0)),), tail=(0.5, 0.01))
         with pytest.raises(ValidationError):
             from_dipoles(chain)
+
+
+class TestDipoleChainArray:
+    def test_pairs_are_one_read_only_array(self):
+        pairs = (((0.0, 0.0, 1.0), (1.0, 0.0, 1.0)), ((2.0, 2.0, 2.0), (2.0, 3.0, 2.0)))
+        chain = DipoleChain(pairs)
+        assert chain.pairs.shape == (2, 2, 3) and chain.dim == 3
+        assert [(p.tolist(), n.tolist()) for p, n in chain.pairs] == [
+            (list(p), list(n)) for p, n in pairs
+        ]
+        with pytest.raises(ValueError):
+            chain.pairs[0, 0, 0] = 5.0
+        f, _ = from_dipoles(chain)
+        assert f.measure_part.points.tolist() == [list(q) for pair in pairs for q in pair]
+        assert f.measure_part.masses.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("pairs", [
+        (((0.0, 0.0), (1.0, 0.0)), ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
+        (((0.0, 0.0), (1.0, 0.0, 0.0)),),
+    ])
+    def test_ragged_endpoints_message_is_unchanged(self, pairs):
+        with pytest.raises(ValidationError, match="^dipole endpoints have mismatched dimensions$"):
+            DipoleChain(pairs)
+
+    def test_non_finite_message_names_the_first_bad_endpoint(self):
+        pairs = (((0.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (float("nan"), 1.0)), ((float("inf"), 0.0), (0.0, 0.0)))
+        with pytest.raises(ValidationError) as info:
+            DipoleChain(pairs)
+        assert str(info.value) == "point has non-finite coordinates: (nan, 1.0)"
+
+    def test_empty_chain_is_two_dimensional(self):
+        chain = DipoleChain(())
+        assert chain.pairs.shape == (0, 2, 2) and len(chain) == 0 and chain.dim == 2

@@ -172,7 +172,7 @@ def ref_pair(f, func):
 def ref_ray_quotient(func, atom):
     if atom.t == 0.0:
         return float(np.dot(func.gradient(atom.base), atom.dir))
-    return (func.value(atom.head) - func.value(atom.base)) / atom.t
+    return (func.value(atom.base + atom.t * atom.dir) - func.value(atom.base)) / atom.t
 
 
 def ref_pair_plan(plan, func):
@@ -351,7 +351,7 @@ def test_pair_plan_and_ray_quotients_match_the_reference(rng, dim):
             d = rng.normal(size=dim)
             t = 0.0 if rng.uniform() < 0.4 else float(rng.uniform(0.0, 1.0))
             atoms.append(PlanAtom(rng.uniform(0.0, 1.0, size=dim), d / vec_norm(d), t, rng.uniform(0.1, 2.0)))
-        plan = GeneralizedPlan(tuple(atoms))
+        plan = GeneralizedPlan.from_atoms(atoms, dim)
         for func, ref in function_pairs(rng, dim):
             assert pair_plan(plan, func).hex() == ref_pair_plan(plan, ref).hex(), str(func)
             for atom in atoms[:3]:
@@ -370,6 +370,21 @@ def test_pair_with_and_modulus_margins_match_the_reference(rng):
             assert got.hex() == ref_verify_modulus_bound(chain, curve, 60, seed).hex()
         curve = modulus(chain, [0.3, 0.01], seed=5)
         assert curve.verified_margin == ref_verify_modulus_bound(chain, curve, 100, 5)
+
+
+def test_modulus_margins_match_the_reference_on_functions_constant_on_the_box(rng):
+    # far from the origin many sampled functions clip to one bound on the
+    # whole box: Lipschitz constant 0 there, so with c = 0 they meet the
+    # bound with equality while every other function, on these short
+    # dipoles, stays below it
+    for dim in (2, 3):
+        points = 100.0 + rng.uniform(0.0, 1.0, size=(5, dim))
+        pairs = [(p, p + 1e-3 * rng.uniform(-1.0, 1.0, size=dim)) for p in points]
+        chain = DipoleChain(tuple(pairs), tail=(0.5, 0.1))
+        curve = ModulusCurve(samples=((0.5, 0, 0),))
+        for seed in range(3):
+            got = verify_modulus_bound(chain, curve, n_samples=40, seed=seed)
+            assert got.hex() == ref_verify_modulus_bound(chain, curve, 40, seed).hex() == (0.0).hex()
 
 
 def test_cone_witness_matches_the_reference_on_floor_and_apexes(rng):
