@@ -16,6 +16,10 @@ median.  Cases:
   400 atoms.  Each of the ``--repeats`` runs is one timed call after a
   warm-up call in its own child process, which also reports its peak RSS
   (numpy and scipy included); the case gives the medians;
+* ``load_document`` of a seeded 2,000-segment polyline document (100
+  random walks of 20 segments from ``perfbench/workloads.py``, plus its 10
+  vector atoms) and of the seeded 2,000-atom document: JSON parsing,
+  validation, atom merging and the segment-overlap check;
 * ``minimal_connection`` at 100 / 200 / 400 / 800 atoms;
 * ``solve_beckmann`` on the complete graph at 100 / 200 atoms, and on 64²,
   128² with diagonals and 256² grids over 36 atoms in the unit box (the
@@ -56,9 +60,14 @@ import time
 
 import numpy as np
 
-from tranship import beckmann, cli, matchnorm
-from tranship.geom import Domain
-from tranship.measures import SignedAtomMeasure
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+from tranship import beckmann, cli, matchnorm  # noqa: E402
+from tranship.document import load_document  # noqa: E402
+from tranship.geom import Domain  # noqa: E402
+from tranship.measures import SignedAtomMeasure  # noqa: E402
 
 LP_SIZES = (100, 160, 400)
 FLOW_SIZES = (100, 200, 400, 800)
@@ -67,6 +76,8 @@ GRID_ATOMS = 36
 COMPLETE_SIZES = (100, 200)
 # command line -> atoms in its document
 CLI_CASES = (("beckmann --grid 256x256", GRID_ATOMS), ("connect", 800))
+LOAD_ATOMS = 2000
+LOAD_POLYLINES = (100, 20)  # walks, segments per walk
 STARTUP_CASES = (("--help", 0), ("connect", 100))
 MIB = float(1 << 20)
 
@@ -203,6 +214,23 @@ def startup_cases(seed: int, repeats: int):
             yield case
 
 
+def load_cases(seed: int, repeats: int):
+    """``load_document`` of the seeded polyline and atom documents."""
+    with tempfile.TemporaryDirectory() as tmp:
+        polylines = os.path.join(tmp, "polylines.json")
+        lines, segments = LOAD_POLYLINES
+        doc = workloads._polylines_document(np.random.default_rng([seed, lines]), lines, segments)
+        with open(polylines, "w") as fh:
+            json.dump(doc, fh)
+        atoms = os.path.join(tmp, "atoms.json")
+        write_document(atoms, LOAD_ATOMS, seed)
+        for name, path in (("polylines", polylines), ("atoms", atoms)):
+            median, times, loaded = timed(lambda: load_document(path), repeats)
+            yield {"case": "load_document", "document": name, "atoms": len(loaded.atoms),
+                   "segments": loaded.vector_measure.n_segments, "time_s": median,
+                   "times_s": times}
+
+
 def flow_cases(seed: int, repeats: int):
     for n in FLOW_SIZES:
         f = instance(n, seed)
@@ -247,6 +275,7 @@ def main(argv=None) -> int:
     cases = list(startup_cases(args.seed, args.repeats))
     # before the in-process cases raise this process's high-water mark
     cases += child_cases(args.seed, args.repeats)
+    cases += load_cases(args.seed, args.repeats)
     cases += flow_cases(args.seed, args.repeats)
     result = {
         "seed": args.seed,

@@ -3,12 +3,15 @@
 A document carries the instance geometry (atoms, dipoles, segments, vector
 atoms, cell fields, plans, test functions) plus named options.  Unknown keys
 are rejected so typos fail loudly; the domain may be given explicitly or is
-the 5%-padded bounding box of everything in the file.
+the 5%-padded bounding box of everything in the file.  Every number must be
+finite: ``NaN`` and ``Infinity``, which Python's ``json`` accepts although
+JSON has neither, are rejected with the path of their field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -59,9 +62,16 @@ def _get(obj: dict, key: str, where: str):
 
 
 def _as_float(value, where: str) -> float:
+    """A finite float; booleans, NaN and infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: expected a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value, where: str) -> int:
@@ -153,11 +163,26 @@ def _parse_test_function(obj: dict, dim: int, idx: int):
     if kind == "radial_bump":
         _require_keys(obj, {"kind", "center", "radius", "amplitude"}, where)
         return RadialBump(
-            center=_parse_point(_get(obj, "center", where), where),
+            center=_point_at(obj, "center", where),
             radius=_number_at(obj, "radius", where),
             amplitude=_as_float(obj.get("amplitude", 1.0), f"{where}.amplitude"),
         )
     raise ValidationError(f"{where}: unknown test function kind {kind!r}")
+
+
+def _columns(entries, where: str, points=(), numbers=()) -> tuple:
+    """One list per key, `points` (coordinate lists) then `numbers`, from the
+    objects `entries`, which must have exactly these keys; checked entry by
+    entry and key by key in that order."""
+    keys = (*points, *numbers)
+    columns = tuple([] for _ in keys)
+    for k, entry in enumerate(entries):
+        at = f"{where}[{k}]"
+        _require_keys(entry, keys, at)
+        for key, column in zip(keys, columns):
+            parse = _parse_point if key in points else _as_float
+            column.append(parse(_get(entry, key, at), f"{at}.{key}"))
+    return columns
 
 
 def parse_document(data: dict) -> ProblemDocument:
@@ -168,47 +193,23 @@ def parse_document(data: dict) -> ProblemDocument:
     if version != 1:
         raise ValidationError(f"unsupported document version {version!r} (expected 1)")
 
-    atoms = []
-    for k, entry in enumerate(data.get("atoms", [])):
-        where = f"atoms[{k}]"
-        _require_keys(entry, {"point", "mass"}, where)
-        atoms.append((_point_at(entry, "point", where), _number_at(entry, "mass", where)))
+    atom_points, masses = _columns(data.get("atoms", []), "atoms", ["point"], ["mass"])
 
     dipoles = None
     if "dipoles" in data:
         block = data["dipoles"]
         _require_keys(block, {"pairs", "tail"}, "dipoles")
-        pairs = []
-        for k, entry in enumerate(block.get("pairs", [])):
-            where = f"dipoles.pairs[{k}]"
-            _require_keys(entry, {"p", "n"}, where)
-            pairs.append((_point_at(entry, "p", where), _point_at(entry, "n", where)))
+        p, n = _columns(block.get("pairs", []), "dipoles.pairs", ["p", "n"])
         tail = None
         if block.get("tail") is not None:
             keys = ("ratio", "first_term")
             _require_keys(block["tail"], keys, "dipoles.tail")
             tail = tuple(_number_at(block["tail"], key, "dipoles.tail") for key in keys)
-        dipoles = DipoleChain(pairs=tuple(pairs), tail=tail)
+        dipoles = DipoleChain(pairs=tuple(zip(p, n)), tail=tail)
 
-    segments = []
-    for k, entry in enumerate(data.get("segments", [])):
-        keys, where = ("a", "b", "density"), f"segments[{k}]"
-        _require_keys(entry, keys, where)
-        segments.append(tuple(_point_at(entry, key, where) for key in keys))
-
-    vector_atoms = []
-    for k, entry in enumerate(data.get("vector_atoms", [])):
-        keys, where = ("point", "vector"), f"vector_atoms[{k}]"
-        _require_keys(entry, keys, where)
-        vector_atoms.append(tuple(_point_at(entry, key, where) for key in keys))
-
-    plan_atoms = []
-    for k, entry in enumerate(data.get("plan", [])):
-        where = f"plan[{k}]"
-        _require_keys(entry, {"base", "dir", "t", "mass"}, where)
-        base, direction = (_point_at(entry, key, where) for key in ("base", "dir"))
-        t, mass = (_number_at(entry, key, where) for key in ("t", "mass"))
-        plan_atoms.append((base, direction, t, mass))
+    segments = _columns(data.get("segments", []), "segments", ["a", "b", "density"])
+    vector_atoms = _columns(data.get("vector_atoms", []), "vector_atoms", ["point", "vector"])
+    base, direction, t, mass = _columns(data.get("plan", []), "plan", ["base", "dir"], ["t", "mass"])
 
     options = data.get("options", {})
     if not isinstance(options, dict):
@@ -222,47 +223,45 @@ def parse_document(data: dict) -> ProblemDocument:
         options["eps"] = [_as_float(v, f"options.eps[{k}]") for k, v in enumerate(options["eps"])]
 
     # the instance dimension: from any geometry present
-    dims = set()
-    for p, _ in atoms:
-        dims.add(len(p))
+    point_columns = (atom_points, *segments, *vector_atoms, base, direction)
+    dims = {len(point) for column in point_columns for point in column}
     if dipoles is not None and len(dipoles):
         dims.add(dipoles.dim)
-    for a, b, d in segments:
-        dims.update({len(a), len(b), len(d)})
-    for p, v in vector_atoms:
-        dims.update({len(p), len(v)})
-    for base, direction, _t, _mass in plan_atoms:
-        dims.update({len(base), len(direction)})
     if "domain" in data:
         _require_keys(data["domain"], {"lower", "upper"}, "domain")
         dims.add(len(_get(data["domain"], "lower", "domain")))
     if len(dims) > 1:
         raise ValidationError(f"mixed dimensions in document: {sorted(dims)}")
     dim = dims.pop() if dims else 2
-    plan = GeneralizedPlan.from_atoms(plan_atoms, dim) if "plan" in data else None
+
+    def rows(column):
+        return np.array(column, dtype=float).reshape(-1, dim)
+
+    def ends(a, b):  # a[0], b[0], a[1], b[1], ...
+        return np.stack([a, b], axis=1).reshape(-1, dim)
+
+    seg_a, seg_b, seg_density = map(rows, segments)
+    vector_points, vectors = map(rows, vector_atoms)
+    base, direction = rows(base), rows(direction)
+    plan = GeneralizedPlan(base, direction, t, mass) if "plan" in data else None
 
     if "cells" in data:
         _require_keys(data["cells"], {"resolution", "vectors", "domain"}, "cells")
         if "domain" not in data and "domain" not in data["cells"]:
             raise ValidationError("cells require an explicit domain")
 
-    measure = SignedAtomMeasure.from_atoms(atoms, dim=dim)
+    measure = SignedAtomMeasure(rows(atom_points), masses)
 
-    geometry = [measure.points] if len(measure) else []
-    if dipoles is not None and len(dipoles):
-        geometry.append(dipoles.pairs.reshape(-1, dim))
-    for a, b, _ in segments:
-        geometry.append(np.array([a, b], dtype=float))
-    for p, _ in vector_atoms:
-        geometry.append(np.array([p], dtype=float))
-    if plan is not None and len(plan):
-        heads = plan.base + plan.t[:, None] * plan.dir
-        geometry.append(np.stack([plan.base, heads], axis=1).reshape(-1, dim))
+    dipole_points = dipoles.pairs.reshape(-1, dim) if dipoles is not None else rows([])
+    heads = base + np.array(t, dtype=float)[:, None] * direction
+    geometry = np.concatenate(
+        [measure.points, dipole_points, ends(seg_a, seg_b), vector_points, ends(base, heads)]
+    )
 
     if "domain" in data:
         domain = _parse_domain(data["domain"], "domain")
-    elif geometry:
-        domain = Domain.from_geometry(np.vstack(geometry))
+    elif len(geometry):
+        domain = Domain.from_geometry(geometry)
     else:
         domain = Domain([0.0] * dim, [1.0] * dim)
 
@@ -278,17 +277,17 @@ def parse_document(data: dict) -> ProblemDocument:
             raise ValidationError("cells.resolution: expected a list of integers")
         grid = Grid(cell_domain, tuple(_as_int(r, "cells.resolution") for r in resolution))
         try:
-            vectors = np.asarray(_get(block, "vectors", "cells"), dtype=float)
+            cell_vectors = np.asarray(_get(block, "vectors", "cells"), dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"cells.vectors: {exc}") from exc
-        cell_field = CellField(grid=grid, vectors=vectors)
+        cell_field = CellField(grid=grid, vectors=cell_vectors)
 
-    vector_measure = StructuredVectorMeasure.build(
-        dim, atoms=vector_atoms, segments=segments, cells=cell_field
+    vector_measure = StructuredVectorMeasure(
+        dim, vector_points, vectors, seg_a, seg_b, seg_density, cell_field
     )
 
-    if geometry:
-        domain.require_inside(np.vstack(geometry), "geometry point {} lies outside the domain")
+    if len(geometry):
+        domain.require_inside(geometry, "geometry point {} lies outside the domain")
 
     test_functions = None
     if "test_functions" in data:
@@ -321,4 +320,6 @@ def load_document(path: str) -> ProblemDocument:
         raise ValidationError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ValidationError(f"document number out of range: {exc}") from exc
     return parse_document(data)

@@ -54,8 +54,9 @@ class PlanAtom(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class GeneralizedPlan:
     """Atom i at ``(base[i], dir[i], t[i], mass[i])``: read-only ``(n, dim)`` points
-    and directions, ``(n,)`` lengths and masses.  Directions must be unit, t
-    nonnegative and masses positive; the first atom that breaks a rule names it."""
+    and directions, ``(n,)`` lengths and masses.  Bases must be finite,
+    directions unit, t finite and nonnegative and masses finite and positive;
+    the first atom that breaks a rule names it."""
 
     base: np.ndarray
     dir: np.ndarray
@@ -69,13 +70,15 @@ class GeneralizedPlan:
             raise ValidationError("plan atom base and direction dimension mismatch")
         norms = dists(direction, 0.0)
         failed = np.stack([~np.isfinite(base).all(axis=1), ~(np.abs(norms - 1.0) <= UNIT_DIR_TOL),
-                           t < 0.0, ~(mass > 0.0)], axis=1)
+                           ~(np.isfinite(t) & (t >= 0.0)), ~(np.isfinite(mass) & (mass > 0.0))],
+                          axis=1)
         if failed.any():
             i, rule = np.argwhere(failed)[0]
             raise ValidationError((
                 f"point has non-finite coordinates: {base[i].tolist()!r}",
                 f"plan atom direction must be unit, |v| = {vec_norm(direction[i])!r}",
-                "plan atom t must be nonnegative", "plan atom mass must be positive",
+                f"plan atom t must be nonnegative and finite, got {t[i].item()!r}",
+                f"plan atom mass must be positive and finite, got {mass[i].item()!r}",
             )[rule])
         for name, column in zip(("base", "dir", "t", "mass"), (base, direction, t, mass)):
             column.setflags(write=False)

@@ -41,6 +41,14 @@ __all__ = [
 BALANCE_RTOL = 1e-9
 MERGE_RTOL = 1e-9
 PARALLEL_RTOL = 1e-12
+# two segments overlap when their directions are parallel (1 - cos^2 at most
+# OVERLAP_SIN2), their lines meet and they share a piece longer than
+# OVERLAP_RTOL times the longest segment (at least 1), and their densities are
+# not aligned within OVERLAP_RTOL.  1 - cos^2 is 0 or a few multiples of
+# 1.1e-16 for exactly parallel directions, so a threshold below that would
+# miss tilted collinear pairs
+OVERLAP_SIN2 = 1e-14
+OVERLAP_RTOL = 1e-9
 
 SEGMENT_EXACT_DEGREE = 16  # 8-node Gauss-Legendre integrates degree-15 integrands
 CELL_EXACT_DEGREE = 8  # 4 nodes per axis
@@ -245,40 +253,6 @@ class CellField:
         return float(np.sum(norms) * self.grid.cell_volume)
 
 
-def _segments_overlap(a1, b1, d1, a2, b2, d2, scale):
-    """True when two segments share a set of positive length on a common line
-    and their densities are not aligned there (total variation would not add)."""
-    u = b1 - a1
-    v = b2 - a2
-    lu = vec_norm(u)
-    lv = vec_norm(v)
-    cos = float(np.dot(u / lu, v / lv))
-    sin2 = max(0.0, 1.0 - cos * cos)
-    # 1 - cos^2 is 0 or a few multiples of 1.1e-16 for exactly parallel
-    # directions, so a threshold below that would miss tilted collinear pairs
-    if sin2 > 1e-14:
-        return False
-    # same supporting line?
-    w = a2 - a1
-    off = w - np.dot(w, u / lu) * (u / lu)
-    if vec_norm(off) > 1e-9 * max(scale, 1.0):
-        return False
-    t2a = float(np.dot(a2 - a1, u) / (lu * lu))
-    t2b = float(np.dot(b2 - a1, u) / (lu * lu))
-    lo = max(0.0, min(t2a, t2b))
-    hi = min(1.0, max(t2a, t2b))
-    if (hi - lo) * lu <= 1e-9 * max(scale, 1.0):
-        return False
-    # overlapping on a positive-length piece: densities must be aligned
-    n1 = vec_norm(d1)
-    n2 = vec_norm(d2)
-    if n1 == 0.0 or n2 == 0.0:
-        return False
-    dot = float(np.dot(d1, d2))
-    aligned = dot > 0 and abs(abs(dot) - n1 * n2) <= 1e-9 * n1 * n2
-    return not aligned
-
-
 @dataclass(frozen=True)
 class StructuredVectorMeasure:
     """Vector measure built from point atoms, constant-density polyline segments
@@ -325,21 +299,30 @@ class StructuredVectorMeasure:
         if np.any(lengths == 0.0):
             raise ValidationError("segments must have positive length")
         if self.validate and len(sa) > 1:
-            scale = float(np.max(lengths))
+            tol = OVERLAP_RTOL * max(float(np.max(lengths)), 1.0)
             units = (sb - sa) / lengths[:, None]
+            norms = dists(sd, 0.0)
             for i in range(len(sa) - 1):
+                # the segments j > i parallel to i, then the array form of
+                # the scalar tests: same line, overlap length, alignment
                 cos = np.vecdot(units[i], units[i + 1 :])
-                # only near-parallel pairs can overlap; the prefilter is looser
-                # than the 1e-14 of _segments_overlap, so a last-bit difference
-                # in cos cannot skip a pair that test would flag
-                near = np.flatnonzero(np.maximum(0.0, 1.0 - cos * cos) <= 1e-12)
-                for j in (i + 1 + near).tolist():
-                    if _segments_overlap(
-                        sa[i], sb[i], sd[i], sa[j], sb[j], sd[j], scale
-                    ):
-                        raise ValidationError(
-                            f"segments {i} and {j} overlap with non-aligned densities"
-                        )
+                j = i + 1 + np.flatnonzero(np.maximum(0.0, 1.0 - cos * cos) <= OVERLAP_SIN2)
+                if not j.size:
+                    continue
+                u, w, lu = sb[i] - sa[i], sa[j] - sa[i], lengths[i]
+                off = w - np.vecdot(w, units[i])[:, None] * units[i]
+                ta, tb = np.vecdot(w, u) / (lu * lu), np.vecdot(sb[j] - sa[i], u) / (lu * lu)
+                lo = np.maximum(0.0, np.minimum(ta, tb))
+                hi = np.minimum(1.0, np.maximum(ta, tb))
+                n1, n2 = norms[i], norms[j]
+                dot = np.vecdot(sd[i], sd[j])
+                aligned = (dot > 0) & (np.abs(np.abs(dot) - n1 * n2) <= OVERLAP_RTOL * n1 * n2)
+                overlap = (dists(off, 0.0) <= tol) & ((hi - lo) * lu > tol)
+                hits = j[overlap & (n1 != 0.0) & (n2 != 0.0) & ~aligned]
+                if hits.size:
+                    raise ValidationError(
+                        f"segments {i} and {hits[0]} overlap with non-aligned densities"
+                    )
 
     @staticmethod
     def empty(dim: int = 2) -> "StructuredVectorMeasure":

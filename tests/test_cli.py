@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -397,6 +398,40 @@ class TestCommands:
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes('{"version": 1, "options": {"label": "\u00e9"}}'.encode("latin-1"))
         assert run(["connect", str(latin1)]) == 2
+        huge = tmp_path / "huge.json"  # more digits than json.loads converts
+        huge.write_text('{"version": 1, "options": {"truncation_eps": 1' + "0" * 5000 + "}}")
+        assert run(["connect", str(huge)]) == 2
+
+    PLAN_CHECK_DOC = dict(UNIT_DIPOLE_DOC, plan=[
+        {"base": [1.0, 0.0], "dir": [-1.0, 0.0], "t": 1.0, "mass": 1.0},
+    ])
+    CHAIN_DOC = {"version": 1, "dipoles": {"pairs": [{"p": [0, 0], "n": [1, 0]}]}}
+
+    @pytest.mark.parametrize("command, doc, field, value", [
+        ("connect", {**UNIT_DIPOLE_DOC, "atoms": [{"point": [0.0, math.nan], "mass": 1.0},
+                                                  UNIT_DIPOLE_DOC["atoms"][1]]},
+         "atoms[0].point", "nan"),
+        ("plan-check", {**PLAN_CHECK_DOC, "plan": [{**PLAN_CHECK_DOC["plan"][0], "t": math.nan}]},
+         "plan[0].t", "nan"),
+        ("plan-check", {**PLAN_CHECK_DOC, "plan": [{**PLAN_CHECK_DOC["plan"][0], "mass": math.inf}]},
+         "plan[0].mass", "inf"),
+        ("plan-check", {**PLAN_CHECK_DOC, "test_functions": [
+            {"kind": "polynomial", "coeffs": {"1,0": math.nan}}]},
+         "test_functions[0].coeffs['1,0']", "nan"),
+        ("modulus", {**CHAIN_DOC, "options": {"eps": [0.5, -math.inf]}}, "options.eps[1]", "-inf"),
+        ("connect", {**UNIT_DIPOLE_DOC, "atoms": [UNIT_DIPOLE_DOC["atoms"][0],
+                                                  {"point": [1.0, 0.0], "mass": -(10**400)}]},
+         "atoms[1].mass", "-inf"),
+    ], ids=["atom-point", "plan-t", "plan-mass", "coefficient", "options-eps", "integer-overflow"])
+    def test_non_finite_numbers_are_validation_errors(self, tmp_path, capsys, command, doc,
+                                                      field, value):
+        # json.dumps writes NaN, Infinity and -Infinity, which JSON lacks but
+        # json.loads reads, and integers of any size
+        path = write_doc(tmp_path, doc)
+        assert run([command, path]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {field}: expected a finite number, got {value}\n"
+        )
 
     def test_infeasible_exit_code(self, tmp_path, monkeypatch):
         # grid and complete networks are connected by construction, so force

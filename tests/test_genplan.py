@@ -283,6 +283,17 @@ class TestPlanAtomValidation:
         with pytest.raises(ValidationError, match="mass must be positive"):
             plan_of(PlanAtom(np.zeros(2), np.array([1.0, 0.0]), 1.0, 0.0))
 
+    @pytest.mark.parametrize("t, mass, message", [
+        (math.nan, 1.0, "t must be nonnegative and finite, got nan"),
+        (math.inf, 1.0, "t must be nonnegative and finite, got inf"),
+        (1.0, math.inf, "mass must be positive and finite, got inf"),
+        (1.0, math.nan, "mass must be positive and finite, got nan"),
+    ])
+    def test_non_finite_t_and_mass_rejected(self, t, mass, message):
+        # library callers reach the rules without the document parser
+        with pytest.raises(ValidationError, match=message):
+            plan_of(atom((0.0, 0.0), (1.0, 0.0), 1.0, 1.0), atom((0.0, 0.0), (1.0, 0.0), t, mass))
+
     def test_first_failing_atom_names_the_rule(self):
         # atom 0 breaks the t rule, atom 1 the earlier unit-direction rule
         with pytest.raises(ValidationError, match="t must be nonnegative"):

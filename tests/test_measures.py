@@ -14,7 +14,6 @@ from tranship.measures import (
     QuadratureDegreeWarning,
     SignedAtomMeasure,
     StructuredVectorMeasure,
-    _segments_overlap,
     divergence_as_measure,
     from_dipoles,
     pair,
@@ -259,6 +258,40 @@ class TestDivergenceAsMeasure:
         )
         with pytest.raises(ValidationError):
             divergence_as_measure(nu)
+
+
+def _segments_overlap(a1, b1, d1, a2, b2, d2, scale):
+    """True when two segments share a set of positive length on a common line
+    and their densities are not aligned there (total variation would not add)."""
+    u = b1 - a1
+    v = b2 - a2
+    lu = vec_norm(u)
+    lv = vec_norm(v)
+    cos = float(np.dot(u / lu, v / lv))
+    sin2 = max(0.0, 1.0 - cos * cos)
+    # 1 - cos^2 is 0 or a few multiples of 1.1e-16 for exactly parallel
+    # directions, so a threshold below that would miss tilted collinear pairs
+    if sin2 > 1e-14:
+        return False
+    # same supporting line?
+    w = a2 - a1
+    off = w - np.dot(w, u / lu) * (u / lu)
+    if vec_norm(off) > 1e-9 * max(scale, 1.0):
+        return False
+    t2a = float(np.dot(a2 - a1, u) / (lu * lu))
+    t2b = float(np.dot(b2 - a1, u) / (lu * lu))
+    lo = max(0.0, min(t2a, t2b))
+    hi = min(1.0, max(t2a, t2b))
+    if (hi - lo) * lu <= 1e-9 * max(scale, 1.0):
+        return False
+    # overlapping on a positive-length piece: densities must be aligned
+    n1 = vec_norm(d1)
+    n2 = vec_norm(d2)
+    if n1 == 0.0 or n2 == 0.0:
+        return False
+    dot = float(np.dot(d1, d2))
+    aligned = dot > 0 and abs(abs(dot) - n1 * n2) <= 1e-9 * n1 * n2
+    return not aligned
 
 
 class TestSegmentValidation:
