@@ -20,7 +20,8 @@ median.  Cases:
   random walks of 20 segments from ``perfbench/workloads.py``, plus its 10
   vector atoms) and of the seeded 2,000-atom document: JSON parsing,
   validation, atom merging and the segment-overlap check;
-* ``minimal_connection`` at 100 / 200 / 400 / 800 atoms;
+* ``minimal_connection`` at 100 / 200 / 400 / 800 / 1200 atoms, and on
+  400 + 400 unit masses (the same seeded points, masses +1 and -1);
 * ``solve_beckmann`` on the complete graph at 100 / 200 atoms, and on 64²,
   128² with diagonals and 256² grids over 36 atoms in the unit box (the
   network is built outside the timed call);
@@ -40,7 +41,7 @@ floor is a bare interpreter's.
 
 The package is imported from ``PYTHONPATH``, so running the suite against
 two source trees compares them on the same instances.  The JSON result goes
-to standard output (and to ``--out``); the suite takes about a minute.
+to standard output (and to ``--out``); the suite takes a few minutes.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ from tranship.geom import Domain  # noqa: E402
 from tranship.measures import SignedAtomMeasure  # noqa: E402
 
 LP_SIZES = (100, 160, 400)
-FLOW_SIZES = (100, 200, 400, 800)
+FLOW_SIZES = (100, 200, 400, 800, 1200)
+UNIT_FLOW_SIZE = 800
 GRIDS = ((64, False), (128, True), (256, False))
 GRID_ATOMS = 36
 COMPLETE_SIZES = (100, 200)
@@ -82,12 +84,14 @@ STARTUP_CASES = (("--help", 0), ("connect", 100))
 MIB = float(1 << 20)
 
 
-def instance(n: int, seed: int) -> SignedAtomMeasure:
+def instance(n: int, seed: int, unit: bool = False) -> SignedAtomMeasure:
     rng = np.random.default_rng([seed, n])
     half = n // 2
     pos = rng.uniform(0.5, 1.5, size=half)
     neg = rng.uniform(0.5, 1.5, size=n - half)
     neg *= pos.sum() / neg.sum()
+    if unit:
+        pos, neg = np.ones(half), np.ones(n - half)
     return SignedAtomMeasure(rng.uniform(size=(n, 2)), np.concatenate([pos, -neg]))
 
 
@@ -232,11 +236,11 @@ def load_cases(seed: int, repeats: int):
 
 
 def flow_cases(seed: int, repeats: int):
-    for n in FLOW_SIZES:
-        f = instance(n, seed)
+    for n, unit in [(n, False) for n in FLOW_SIZES] + [(UNIT_FLOW_SIZE, True)]:
+        f = instance(n, seed, unit)
         median, times, matching = timed(lambda: matchnorm.minimal_connection(f), repeats)
-        yield {"case": "minimal_connection", "atoms": n, "time_s": median,
-               "times_s": times, "value": matching.cost}
+        yield {"case": "minimal_connection", "atoms": n, "masses": "unit" if unit else "distinct",
+               "time_s": median, "times_s": times, "value": matching.cost}
     for n in COMPLETE_SIZES:
         net = beckmann.complete_network(instance(n, seed))
         median, times, flow = timed(lambda: beckmann.solve_beckmann(net), repeats)

@@ -170,6 +170,21 @@ def _parse_test_function(obj: dict, dim: int, idx: int):
     raise ValidationError(f"{where}: unknown test function kind {kind!r}")
 
 
+def _cell_vectors(block: dict, dim: int) -> np.ndarray:
+    """The (n_cells, dim) rows of ``cells.vectors``, each entry a finite
+    number; `CellField` checks the row count."""
+    rows = _get(block, "vectors", "cells")
+    if not isinstance(rows, list):
+        raise ValidationError("cells.vectors: expected a list of vectors")
+    vectors = []
+    for i, row in enumerate(rows):
+        where = f"cells.vectors[{i}]"
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValidationError(f"{where}: expected a list of {dim} numbers")
+        vectors.append([_as_float(x, f"{where}[{k}]") for k, x in enumerate(row)])
+    return np.array(vectors, dtype=float).reshape(-1, dim)
+
+
 def _columns(entries, where: str, points=(), numbers=()) -> tuple:
     """One list per key, `points` (coordinate lists) then `numbers`, from the
     objects `entries`, which must have exactly these keys; checked entry by
@@ -276,11 +291,7 @@ def parse_document(data: dict) -> ProblemDocument:
         if not isinstance(resolution, list):
             raise ValidationError("cells.resolution: expected a list of integers")
         grid = Grid(cell_domain, tuple(_as_int(r, "cells.resolution") for r in resolution))
-        try:
-            cell_vectors = np.asarray(_get(block, "vectors", "cells"), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"cells.vectors: {exc}") from exc
-        cell_field = CellField(grid=grid, vectors=cell_vectors)
+        cell_field = CellField(grid=grid, vectors=_cell_vectors(block, grid.dim))
 
     vector_measure = StructuredVectorMeasure(
         dim, vector_points, vectors, seg_a, seg_b, seg_density, cell_field

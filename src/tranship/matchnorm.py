@@ -4,8 +4,9 @@ Lipschitz potential, and the flat norm with its bounded-potential variant.
 Three independent routes to the same value:
 
 * :func:`minimal_connection` -- primal transport, one min-cost flow on the
-  complete bipartite graph for every mass pattern, certified by the
-  c-transform of the flow's sink potentials,
+  complete bipartite graph for every mass pattern
+  (:func:`~tranship.mincostflow.solve_transport`, numpy only), certified by
+  the c-transform of the flow's sink potentials,
 * :func:`dual_potential` -- the finite dual LP: maximize the pairing over
   potentials with u_i - u_j <= |x_i - x_j| on every ordered support pair,
 * :func:`brute_force_connection` -- exhaustive matching oracle for tiny
@@ -20,7 +21,10 @@ LP is solved again.  The optimum that violates no pair is the all-pairs
 optimum, with a few rows per atom instead of n.
 
 The LP solver comes from :mod:`scipy.optimize`, which is imported on the
-first call of :func:`linprog`, so importing this module loads no scipy.
+first call of :func:`linprog`, so importing this module loads no scipy, and
+neither does :func:`minimal_connection`.  The third route, graph flow on the
+complete network (:mod:`tranship.beckmann`), solves with
+:func:`~tranship.mincostflow.solve_min_cost_flow` and scipy's Dijkstra.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .errors import TranshipError, ValidationError
 from .geom import dists, ordered_sum
 from .measures import SignedAtomMeasure
-from .mincostflow import solve_min_cost_flow
+from .mincostflow import solve_transport
 
 __all__ = [
     "Matching",
@@ -117,18 +121,14 @@ def minimal_connection(f: SignedAtomMeasure) -> Matching:
         empty = _read_only(np.zeros(0))
         return Matching(f.points, _read_only(np.zeros((0, 2), dtype=int)), empty, 0.0, empty)
 
-    # arcs of the complete bipartite graph, source-major like the rows of d
     d = dists(f.points[pos][:, None], f.points[neg][None])
-    n_pos, n_neg = d.shape
-    src, dst = np.divmod(np.arange(d.size), n_neg)
-    arcs = np.column_stack([src, n_pos + dst])
-    lengths = d.ravel()
-    sol = solve_min_cost_flow(n_pos + n_neg, arcs, lengths, f.masses[np.r_[pos, neg]])
+    sol = solve_transport(d, f.masses[np.r_[pos, neg]])
     carrying = np.flatnonzero(sol.arc_flows > 0.0)
-    edges = _read_only(np.column_stack([pos[src[carrying]], neg[dst[carrying]]]))
+    src, dst = np.divmod(carrying, len(neg))
+    edges = _read_only(np.column_stack([pos[src], neg[dst]]))
     masses = _read_only(sol.arc_flows[carrying])
-    potential = _c_transform(f.points, f.points[neg], sol.potentials[n_pos:])
-    return Matching(f.points, edges, masses, ordered_sum(masses * lengths[carrying]), potential)
+    potential = _c_transform(f.points, f.points[neg], sol.potentials[len(pos):])
+    return Matching(f.points, edges, masses, ordered_sum(masses * d.ravel()[carrying]), potential)
 
 
 def _c_transform(points, sinks, sink_values):

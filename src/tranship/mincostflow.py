@@ -1,21 +1,35 @@
 """Uncapacitated min-cost flow by successive shortest paths in phases.
 
-The solver works on directed arcs with nonnegative costs.  Node potentials
-``u`` keep every residual reduced cost ``cost(i, j) - u[i] + u[j]``
-nonnegative.  Each phase is one multi-source
-:func:`scipy.sparse.csgraph.dijkstra` from every node with excess, over the
-residual graph (forward arcs plus the canceling arcs of flow-carrying arcs)
-stored as a CSR of reduced costs clamped at 0, cheapest entry per ordered
-node pair.  The CSR is built once per solve, on the fixed pattern of every
-ordered pair that can ever hold a residual arc (each arc's pair and its
-reverse); a phase rewrites only its ``data``, with ``+inf`` in the slots that
-hold no residual arc, and Dijkstra never improves a label through an
-infinite edge.  Subtracting the distances from the potentials (the largest
-finite distance at nodes not reached) makes every arc of the shortest-path
-forest tight; the phase then augments along each forest path from a node with
-excess to a node with deficit (the primal-dual method of Ahuja, Magnanti &
-Orlin, *Network Flows*, 1993, chs. 9-10).  At termination the potentials are
-an optimal dual solution:
+Two solvers run the same phases and share their end (:func:`_advance`):
+
+* :func:`solve_min_cost_flow` takes any directed arc list and serves the
+  graph-flow route (:func:`~tranship.beckmann.solve_beckmann` on grid and
+  complete networks).  Its shortest paths come from
+  :func:`scipy.sparse.csgraph.dijkstra`.
+* :func:`solve_transport` takes the cost matrix of a complete bipartite
+  graph from sources to sinks and serves the matching route
+  (:func:`~tranship.matchnorm.minimal_connection`).  It needs numpy alone,
+  builds no arc list, and returns the bits :func:`solve_min_cost_flow`
+  returns on the same graph.
+
+Both work on arcs with nonnegative costs.  Node potentials ``u`` keep every
+residual reduced cost ``cost(i, j) - u[i] + u[j]`` nonnegative.  Each phase
+is one multi-source Dijkstra from every node with excess over the residual
+graph (forward arcs plus the canceling arcs of flow-carrying arcs), with
+reduced costs clamped at 0.  :func:`solve_min_cost_flow` stores that graph
+as a CSR, cheapest entry per ordered node pair, built once per solve on the
+fixed pattern of every ordered pair that can ever hold a residual arc (each
+arc's pair and its reverse); a phase rewrites only its ``data``, with
+``+inf`` in the slots that hold no residual arc, and Dijkstra never improves
+a label through an infinite edge.  :func:`solve_transport` keeps the dense
+reduced-cost matrix and relaxes a settled source's whole row at once
+(:func:`_bipartite_dijkstra`, the dense row relaxation of Jonker &
+Volgenant, *Computing* 38, 1987).  Subtracting the distances from the
+potentials (the largest finite distance at nodes not reached) makes every
+arc of the shortest-path forest tight; the phase then augments along each
+forest path from a node with excess to a node with deficit (the primal-dual
+method of Ahuja, Magnanti & Orlin, *Network Flows*, 1993, chs. 9-10).  At
+termination the potentials are an optimal dual solution:
 
 * ``u[i] - u[j] <= cost(i, j)`` for every arc (feasibility),
 * ``u[i] - u[j] == cost(i, j)`` on every flow-carrying arc (slackness).
@@ -26,7 +40,8 @@ the potentials are written out rather than delegated: the certificates are
 part of the public contract.
 
 :mod:`scipy.sparse.csgraph` is imported inside :func:`solve_min_cost_flow`,
-so importing this module loads no scipy.
+so importing this module, or calling :func:`solve_transport`, loads no
+scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +52,7 @@ import numpy as np
 
 from .errors import InfeasibleFlowError, ValidationError, VerificationError
 
-__all__ = ["FlowSolution", "solve_min_cost_flow"]
+__all__ = ["FlowSolution", "solve_min_cost_flow", "solve_transport"]
 
 _MAX_AUGMENTATIONS_FACTOR = 16
 # supply or excess at most this times the supplies' total magnitude counts as 0
@@ -141,19 +156,7 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
         replaced = slot_arc[won]
         slot_arc[won] = k + back
 
-        dist_lab, pred, root = dijkstra(
-            graph, indices=sources, min_only=True, return_predecessors=True
-        )
-        reached = np.isfinite(dist_lab)
-        sinks = np.flatnonzero(reached & (excess < -eps))
-        if sinks.size == 0:
-            raise InfeasibleFlowError(
-                f"supply at node {int(sources[0])} cannot reach any demand "
-                "(graph disconnected between sources and sinks)"
-            )
-        potential -= np.where(reached, dist_lab, np.max(dist_lab[reached]))
-
-        # augment along the forest paths; every forest arc is now tight
+        dist, pred, _ = dijkstra(graph, indices=sources, min_only=True, return_predecessors=True)
         child = np.flatnonzero(pred >= 0)
         tree_arc = np.full(n_nodes, -1)
         tree_key = pred[child].astype(int) * n_nodes + child
@@ -161,38 +164,210 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
         # back to the forward arcs only, as the next phase expects
         slot_cost[won] = np.inf
         slot_arc[won] = replaced
-        pred, tree_arc = pred.tolist(), tree_arc.tolist()
-        for t, s in zip(sinks.tolist(), root[sinks].tolist()):
-            if excess[s] <= eps or excess[t] >= -eps:
-                continue
-            path = []
-            v = t
-            while v != s:
-                path.append(tree_arc[v])
-                v = pred[v]
-            delta = min(excess[s], -excess[t])
-            for a in path:
-                if a >= k:
-                    delta = min(delta, flow[a - k])
-            if delta <= 0.0:
-                continue
-            for a in path:
-                if a < k:
-                    flow[a] += delta
-                else:
-                    flow[a - k] = 0.0 if flow[a - k] == delta else flow[a - k] - delta
-            excess[s] = 0.0 if delta == excess[s] else excess[s] - delta
-            excess[t] = 0.0 if delta == -excess[t] else excess[t] + delta
-            rounds += 1
-            if rounds > max_rounds:
-                raise VerificationError(
-                    "augmentation limit exceeded; supplies may be numerically inconsistent"
-                )
+        rounds = _advance(dist, pred, tree_arc, potential, flow, excess, eps, rounds, max_rounds)
         # free this phase's arrays before the next phase allocates its own
-        del dist_lab, pred, root, tree_arc
+        del dist, pred, tree_arc
 
     arc_flows = np.zeros(m)
     arc_flows[cheapest] = flow
     arc_flows.setflags(write=False)
     potential.setflags(write=False)
     return FlowSolution(arc_flows=arc_flows, potentials=potential)
+
+
+def solve_transport(cost, supply) -> FlowSolution:
+    """Route `supply` over the complete bipartite graph from the ``p`` source
+    nodes to the ``q`` sink nodes at minimum total cost, with numpy alone.
+
+    The result is :func:`solve_min_cost_flow`'s on the arcs ``(i, p + j)`` in
+    source-major order with costs ``cost.ravel()``: the same phases, the same
+    forest paths and the same bits.  Each phase is one multi-source Dijkstra
+    over the dense matrix of clamped reduced costs (:func:`_bipartite_dijkstra`)
+    instead of a CSR, and no arc list is built.
+
+    Parameters
+    ----------
+    cost : (p, q) nonnegative arc costs, source-major
+    supply : (p + q,) the p source supplies >= 0, then the q sink supplies
+        <= 0, summing to ~0
+
+    Returns
+    -------
+    FlowSolution
+        ``arc_flows`` has the ``p * q`` arcs in source-major order.
+
+    Raises
+    ------
+    VerificationError
+        If the augmentation limit is exceeded (numerically inconsistent
+        supplies).
+    """
+    cost = np.asarray(cost, dtype=float)
+    supply = np.asarray(supply, dtype=float).ravel()
+    if cost.ndim != 2:
+        raise ValidationError("transport costs must be a (sources, sinks) matrix")
+    p, q = cost.shape
+    if supply.size != p + q:
+        raise ValidationError("supply length does not match node count")
+    if np.any(cost < 0.0):
+        raise ValidationError("arc costs must be nonnegative")
+    if np.any(supply[:p] < 0.0) or np.any(supply[p:] > 0.0):
+        raise ValidationError("sources need supply >= 0 and sinks supply <= 0")
+
+    scale = float(np.sum(np.abs(supply)))
+    eps = ZERO_SUPPLY_RTOL * max(scale, 1.0)
+    flow = np.zeros((p, q))
+    arc_flow = flow.reshape(-1)  # a view: arc i * q + j
+    potential = np.zeros(p + q)
+    u, v = potential[:p], potential[p:]
+    excess = supply.copy()
+    max_rounds = _MAX_AUGMENTATIONS_FACTOR * (p + q + arc_flow.size + 1)
+    rounds = 0
+    reduced = np.empty((p, q))
+    while np.any(excess < -eps) and np.any(excess > eps):
+        # the reduced costs in solve_min_cost_flow's order of operations
+        np.subtract(cost, u[:, None], out=reduced)
+        reduced += v
+        carrying = np.flatnonzero(arc_flow > 0.0)
+        cancel_cost = np.maximum(-reduced.ravel()[carrying], 0.0)
+        np.maximum(reduced, 0.0, out=reduced)
+        dist, pred = _bipartite_dijkstra(reduced, carrying, cancel_cost, excess[:p] > eps)
+
+        # forest arcs: source i -> sink j is arc i * q + j, sink j -> source
+        # i cancels it and is numbered p * q past it
+        tree_arc = np.full(p + q, -1)
+        tree_arc[p:] = pred[p:] * q + np.arange(q)  # every sink is reached
+        back = np.flatnonzero(pred[:p] >= 0)
+        tree_arc[back] = arc_flow.size + back * q + (pred[back] - p)
+        rounds = _advance(
+            dist, pred, tree_arc, potential, arc_flow, excess, eps, rounds, max_rounds
+        )
+
+    arc_flow.setflags(write=False)
+    potential.setflags(write=False)
+    return FlowSolution(arc_flows=arc_flow, potentials=potential)
+
+
+def _bipartite_dijkstra(reduced, carrying, cancel_cost, roots):
+    """Shortest distances from the `roots` sources over the residual
+    bipartite graph, with their forest.
+
+    `reduced` holds the clamped reduced cost of every arc source -> sink;
+    each flow-carrying arc ``carrying[c]`` (index ``i * q + j``) adds the
+    canceling arc sink j -> source i of cost ``cancel_cost[c]``.  Only the
+    sources and the flow-carrying sinks relax arcs, so only they are settled,
+    the one with the smallest label first (the lowest position, sources
+    before sinks, on ties); a source relaxes its whole row at once.  A label
+    improves only when it falls strictly, so a node's predecessor is the
+    first settled node that gave it its distance; for sinks it is found
+    after the loop from the order the sources settled in.  Returns the
+    distances (``inf`` where not reached) and predecessors (-1 at roots and
+    unreached nodes) of the ``p + q`` nodes, sources first.
+    """
+    p, q = reduced.shape
+    dist = np.full(p + q, np.inf)
+    pred = np.full(p + q, -1)
+    source_dist, sink_dist = dist[:p], dist[p:]
+    source_dist[roots] = 0.0
+    # canceling arcs by sink, sources ascending within a sink
+    cancels = [[] for _ in range(q)]
+    tails, heads = np.divmod(carrying, q)
+    for i, j, w in zip(tails.tolist(), heads.tolist(), cancel_cost.tolist()):
+        cancels[j].append((i, w))
+
+    # The roots settle first, in increasing order, so they relax their rows
+    # at once (a label is the distance 0.0 plus the cost).  Then the settle
+    # keys: inf at the sources until a canceling arc reaches them; a sink's
+    # key is its label plus `closed`, which is inf once the sink settled or
+    # if it carries no flow.
+    settled = np.flatnonzero(roots).tolist()
+    np.min(reduced[roots], axis=0, out=sink_dist)
+    sink_dist += 0.0
+    closed = np.full(q, np.inf)
+    closed[heads] = 0.0
+    key = np.full(p + q, np.inf)
+    sink_key = key[p:]
+    np.add(sink_dist, closed, out=sink_key)
+    label = np.empty(q)
+    add, minimum, inf = np.add, np.minimum, np.inf
+    while True:
+        x = int(key.argmin())
+        d = key[x]
+        if d == inf:
+            break
+        key[x] = inf
+        if x < p:
+            settled.append(x)
+            add(reduced[x], d, out=label)
+            minimum(sink_dist, label, out=sink_dist)
+            add(sink_dist, closed, out=sink_key)
+        else:
+            closed[x - p] = inf
+            for i, w in cancels[x - p]:
+                cand = d + w
+                if cand < source_dist[i]:
+                    source_dist[i] = key[i] = cand
+                    pred[i] = x
+
+    # each sink's predecessor: the first settled source that relaxed it to
+    # its distance
+    settled = np.array(settled)
+    labels = reduced[settled]
+    labels += source_dist[settled, None]
+    pred[p:] = settled[np.argmax(labels == sink_dist, axis=0)]
+    return dist, pred
+
+
+def _advance(dist, pred, tree_arc, potential, flow, excess, eps, rounds, max_rounds):
+    """End one phase of either solver; returns the augmentation count.
+
+    `dist` and `pred` are the phase's shortest distances and forest (``inf``
+    and a negative predecessor where unreached, a negative predecessor at the
+    roots); ``tree_arc[v]`` is the residual arc from ``pred[v]`` into v,
+    ``a`` for a forward arc and ``flow.size + a`` for the arc canceling it.
+    The potentials drop by the distances (the largest finite distance at
+    nodes not reached), which makes every forest arc tight.  Then each
+    reached node with deficit, in increasing order, takes what its path from
+    its root can carry: the least of the root's excess, its deficit and the
+    flow on each canceling arc of the path.
+    """
+    reached = np.isfinite(dist)
+    sinks = np.flatnonzero(reached & (excess < -eps))
+    if sinks.size == 0:
+        raise InfeasibleFlowError(
+            f"supply at node {int(np.flatnonzero(excess > eps)[0])} cannot reach any demand "
+            "(graph disconnected between sources and sinks)"
+        )
+    potential -= np.where(reached, dist, np.max(dist[reached]))
+
+    k = flow.size
+    pred, tree_arc = pred.tolist(), tree_arc.tolist()
+    for t in sinks.tolist():
+        if excess[t] >= -eps:
+            continue
+        path = []
+        s = t
+        while pred[s] >= 0:
+            path.append(tree_arc[s])
+            s = pred[s]
+        if excess[s] <= eps:
+            continue
+        delta = min(excess[s], -excess[t])
+        for a in path:
+            if a >= k:
+                delta = min(delta, flow[a - k])
+        if delta <= 0.0:
+            continue
+        for a in path:
+            if a < k:
+                flow[a] += delta
+            else:
+                flow[a - k] = 0.0 if flow[a - k] == delta else flow[a - k] - delta
+        excess[s] = 0.0 if delta == excess[s] else excess[s] - delta
+        excess[t] = 0.0 if delta == -excess[t] else excess[t] + delta
+        rounds += 1
+        if rounds > max_rounds:
+            raise VerificationError(
+                "augmentation limit exceeded; supplies may be numerically inconsistent"
+            )
+    return rounds

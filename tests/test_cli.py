@@ -406,6 +406,8 @@ class TestCommands:
         {"base": [1.0, 0.0], "dir": [-1.0, 0.0], "t": 1.0, "mass": 1.0},
     ])
     CHAIN_DOC = {"version": 1, "dipoles": {"pairs": [{"p": [0, 0], "n": [1, 0]}]}}
+    CELL_DOC = {"version": 1, "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                "cells": {"resolution": [1, 1], "vectors": [[1.0, 0.0]]}}
 
     @pytest.mark.parametrize("command, doc, field, value", [
         ("connect", {**UNIT_DIPOLE_DOC, "atoms": [{"point": [0.0, math.nan], "mass": 1.0},
@@ -422,7 +424,10 @@ class TestCommands:
         ("connect", {**UNIT_DIPOLE_DOC, "atoms": [UNIT_DIPOLE_DOC["atoms"][0],
                                                   {"point": [1.0, 0.0], "mass": -(10**400)}]},
          "atoms[1].mass", "-inf"),
-    ], ids=["atom-point", "plan-t", "plan-mass", "coefficient", "options-eps", "integer-overflow"])
+        ("decompose", {**CELL_DOC, "cells": {**CELL_DOC["cells"], "vectors": [[1.0, math.nan]]}},
+         "cells.vectors[0][1]", "nan"),
+    ], ids=["atom-point", "plan-t", "plan-mass", "coefficient", "options-eps", "integer-overflow",
+            "cell-vector"])
     def test_non_finite_numbers_are_validation_errors(self, tmp_path, capsys, command, doc,
                                                       field, value):
         # json.dumps writes NaN, Infinity and -Infinity, which JSON lacks but
@@ -432,6 +437,16 @@ class TestCommands:
         assert capsys.readouterr().err == (
             f"validation error: {field}: expected a finite number, got {value}\n"
         )
+
+    @pytest.mark.parametrize("vectors, message", [
+        ([[True, False]], "cells.vectors[0][0]: expected a number, got True"),
+        ([[1.0]], "cells.vectors[0]: expected a list of 2 numbers"),
+        ({"0": [1.0, 0.0]}, "cells.vectors: expected a list of vectors"),
+    ], ids=["boolean", "short-row", "not-a-list"])
+    def test_cell_vectors_are_numbers_by_field(self, tmp_path, capsys, vectors, message):
+        doc = {**self.CELL_DOC, "cells": {**self.CELL_DOC["cells"], "vectors": vectors}}
+        assert run(["decompose", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
     def test_infeasible_exit_code(self, tmp_path, monkeypatch):
         # grid and complete networks are connected by construction, so force

@@ -127,20 +127,35 @@ def test_beckmann_grid_loads_only_csgraph(tmp_path):
         assert not loads(result["scipy"], package)
 
 
-@pytest.mark.parametrize(
-    "doc, command",
-    [(DISTINCT_DOC, "connect"), (EQUAL_DOC, "connect"), (DECOMPOSE_DOC, "decompose")],
-    ids=["connect-distinct", "connect-equal", "decompose"],
-)
-def test_flow_certified_commands_load_no_optimize(tmp_path, doc, command):
-    # the certificate is the flow's own potential: no LP, no assignment
-    path = write_doc(tmp_path, doc)
+def test_beckmann_complete_graph_loads_only_csgraph(tmp_path):
+    # the graph-flow route keeps scipy's Dijkstra, apart from the matching route
+    path = write_doc(tmp_path, DISTINCT_DOC)
     out = str(tmp_path / "report.out")
-    result = run_command([command, path, "--out", out])
+    result = run_command(["beckmann", path, "--out", out])
     assert result["status"] == 0
     assert "scipy.sparse.csgraph" in result["scipy"]
     assert not loads(result["scipy"], "scipy.optimize")
-    assert report_warnings(out) == []
+
+
+@pytest.mark.parametrize(
+    "doc, args",
+    [
+        (DISTINCT_DOC, ["connect"]),
+        (EQUAL_DOC, ["connect"]),
+        (DECOMPOSE_DOC, ["decompose"]),
+        (DISTINCT_DOC, ["density", "--grid", "4x4"]),
+    ],
+    ids=["connect-distinct", "connect-equal", "decompose", "density-atoms"],
+)
+def test_flow_certified_commands_load_no_optimize(tmp_path, doc, args):
+    # the matching route solves with numpy alone, and the certificate is the
+    # flow's own potential: no scipy at all
+    path = write_doc(tmp_path, doc)
+    out = str(tmp_path / "report.out")
+    result = run_command([args[0], path, *args[1:], "--out", out])
+    assert result == {"status": 0, "numpy": True, "scipy": []}
+    if args[0] != "density":  # density writes a raster, not a report
+        assert report_warnings(out) == []
 
 
 @pytest.mark.parametrize(

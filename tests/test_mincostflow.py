@@ -8,10 +8,10 @@ from tranship import mincostflow
 from tranship.beckmann import complete_network, grid_network, solve_beckmann
 from tranship.cli import run
 from tranship.errors import InfeasibleFlowError, ValidationError, VerificationError
-from tranship.geom import Domain
-from tranship.matchnorm import dual_potential, minimal_connection
-from tranship.measures import SignedAtomMeasure
-from tranship.mincostflow import solve_min_cost_flow
+from tranship.geom import Domain, dists, ordered_sum
+from tranship.matchnorm import _c_transform, dual_potential, minimal_connection
+from tranship.measures import SignedAtomMeasure, StructuredVectorMeasure, divergence_as_measure
+from tranship.mincostflow import solve_min_cost_flow, solve_transport
 from tranship.testing import random_balanced_measure
 
 
@@ -124,6 +124,38 @@ class TestFailures:
         assert run(["connect", str(path)]) == 4
         assert "augmentation limit" in capsys.readouterr().err
 
+    def test_augmentation_limit_exits_4_on_beckmann(self, tmp_path, monkeypatch, capsys):
+        # `connect` solves with solve_transport, `beckmann` with
+        # solve_min_cost_flow: both read the limit at call time
+        monkeypatch.setattr(mincostflow, "_MAX_AUGMENTATIONS_FACTOR", 0)
+        doc = {
+            "version": 1,
+            "atoms": [
+                {"point": [0.0, 0.0], "mass": 1.0},
+                {"point": [1.0, 0.0], "mass": -0.4},
+                {"point": [0.0, 1.0], "mass": -0.6},
+            ],
+        }
+        path = tmp_path / "distinct.json"
+        path.write_text(json.dumps(doc))
+        assert run(["beckmann", str(path)]) == 4
+        assert "augmentation limit" in capsys.readouterr().err
+
+    def test_transport_augmentation_limit(self, monkeypatch):
+        monkeypatch.setattr(mincostflow, "_MAX_AUGMENTATIONS_FACTOR", 0)
+        with pytest.raises(VerificationError, match="augmentation limit"):
+            solve_transport(np.ones((1, 1)), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("cost, supply, message", [
+        (np.ones(2), np.array([1.0, -1.0]), "matrix"),
+        (np.ones((1, 1)), np.array([1.0, -0.5, -0.5]), "node count"),
+        (-np.ones((1, 1)), np.array([1.0, -1.0]), "nonnegative"),
+        (np.ones((1, 1)), np.array([-1.0, 1.0]), "sources need supply"),
+    ], ids=["vector", "supply-length", "negative-cost", "signs"])
+    def test_transport_rejects_bad_input(self, cost, supply, message):
+        with pytest.raises(ValidationError, match=message):
+            solve_transport(cost, supply)
+
 
 class TestCertificates:
     def test_bipartite(self, rng):
@@ -192,6 +224,84 @@ def test_solutions_keep_their_bits(kind, seed):
         hashlib.sha256(a.tobytes()).hexdigest() for a in (sol.arc_flows, sol.potentials)
     )
     assert digests == PINNED[kind, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(seed for kind, seed in PINNED if kind == "bipartite"))
+def test_transport_has_the_pinned_bits(seed):
+    n, arcs, costs, supply = bipartite(random_balanced_measure(np.random.default_rng(seed), 20))
+    sol = solve_transport(costs.reshape(np.count_nonzero(supply > 0), -1), supply)
+    digests = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest() for a in (sol.arc_flows, sol.potentials)
+    )
+    assert digests == PINNED["bipartite", seed]
+
+
+def arc_list_connection(f):
+    """`minimal_connection` through the arc-list csgraph solver: the complete
+    bipartite graph as n_pos * n_neg source-major arcs.  Returns the edges,
+    masses, cost and potential."""
+    pos, neg = np.flatnonzero(f.masses > 0), np.flatnonzero(f.masses < 0)
+    d = dists(f.points[pos][:, None], f.points[neg][None])
+    src, dst = np.divmod(np.arange(d.size), len(neg))
+    arcs = np.column_stack([src, len(pos) + dst])
+    sol = solve_min_cost_flow(len(pos) + len(neg), arcs, d.ravel(), f.masses[np.r_[pos, neg]])
+    carrying = np.flatnonzero(sol.arc_flows > 0.0)
+    masses = sol.arc_flows[carrying]
+    potential = _c_transform(f.points, f.points[neg], sol.potentials[len(pos):])
+    edges = np.column_stack([pos[src[carrying]], neg[dst[carrying]]])
+    return edges, masses, ordered_sum(masses * d.ravel()[carrying]), potential
+
+
+def distinct_masses(rng, dim, n_pos, n_neg):
+    pos = rng.uniform(0.05, 1.0, size=n_pos)
+    neg = rng.uniform(0.05, 1.0, size=n_neg)
+    neg *= pos.sum() / neg.sum()
+    return SignedAtomMeasure(rng.uniform(size=(n_pos + n_neg, dim)), np.r_[pos, -neg])
+
+
+def unit_masses(rng, dim, k):
+    return SignedAtomMeasure(rng.uniform(size=(2 * k, dim)), np.r_[np.ones(k), -np.ones(k)])
+
+
+def polyline_divergence(rng, n_lines=8, n_segments=12):
+    """-div of random-walk polylines of constant tangential density: the
+    interior vertices cancel up to roundoff and leave ~1e-17 ghost atoms."""
+    segments = []
+    for _ in range(n_lines):
+        p, heading, theta = rng.uniform(0.2, 0.8, size=2), rng.uniform(0, 2 * np.pi), rng.uniform()
+        for _ in range(n_segments):
+            heading += rng.uniform(-1.0, 1.0)
+            unit = np.array([np.cos(heading), np.sin(heading)])
+            q = p + rng.uniform(0.02, 0.06) * unit
+            segments.append((p, q, (0.2 + theta) * unit))
+            p = q
+    f = divergence_as_measure(StructuredVectorMeasure.build(2, segments=segments))
+    assert np.any(np.abs(f.masses) < 1e-15)
+    return f
+
+
+ROUTE_INSTANCES = {
+    "distinct-2d": lambda rng: distinct_masses(rng, 2, 37, 45),
+    "distinct-3d": lambda rng: distinct_masses(rng, 3, 40, 31),
+    "unit-2d": lambda rng: unit_masses(rng, 2, 40),
+    "unit-3d": lambda rng: unit_masses(rng, 3, 33),
+    "ghosts": polyline_divergence,
+    "1x1": lambda rng: distinct_masses(rng, 2, 1, 1),
+    "1xk": lambda rng: distinct_masses(rng, 3, 1, 9),
+    "kx1": lambda rng: distinct_masses(rng, 2, 9, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_INSTANCES))
+def test_matching_route_keeps_the_arc_list_bits(kind):
+    for seed in range(4):
+        f = ROUTE_INSTANCES[kind](np.random.default_rng([seed, 18]))
+        edges, masses, cost, potential = arc_list_connection(f)
+        matching = minimal_connection(f)
+        assert np.array_equal(matching.edges, edges)
+        assert matching.masses.tobytes() == masses.tobytes()
+        assert matching.cost == cost
+        assert matching.potential.tobytes() == potential.tobytes()
 
 
 def test_three_routes_agree_at_210_atoms():
