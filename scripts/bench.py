@@ -13,7 +13,7 @@ median.  Cases:
   processes each.  The case gives the median wall time and the median child
   peak RSS;
 * ``dual_potential`` and ``flat_norm`` (``max`` and ``sum``) at 100 / 160 /
-  400 atoms.  Each of the ``--repeats`` runs is one timed call after a
+  400 / 800 atoms.  Each of the ``--repeats`` runs is one timed call after a
   warm-up call in its own child process, which also reports its peak RSS
   (numpy and scipy included); the case gives the medians;
 * ``load_document`` of a seeded 2,000-segment polyline document (100
@@ -70,7 +70,7 @@ from tranship.document import load_document  # noqa: E402
 from tranship.geom import Domain  # noqa: E402
 from tranship.measures import SignedAtomMeasure  # noqa: E402
 
-LP_SIZES = (100, 160, 400)
+LP_SIZES = (100, 160, 400, 800)
 FLOW_SIZES = (100, 200, 400, 800, 1200)
 UNIT_FLOW_SIZE = 800
 GRIDS = ((64, False), (128, True), (256, False))

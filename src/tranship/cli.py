@@ -36,18 +36,6 @@ EXIT_VERIFICATION = 4
 # the --format values a command accepts; the others ignore the flag
 _FORMATS = {"density": ("csv", "svg", "ascii"), "modulus": ("csv", "json")}
 
-_COMMANDS = (
-    "connect",
-    "dual",
-    "flatnorm",
-    "beckmann",
-    "plan-check",
-    "density",
-    "decompose",
-    "modulus",
-    "selftest",
-)
-
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
@@ -368,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transshipment norms, minimal connections, Beckmann flows "
         "and transport densities.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=(*_HANDLERS, "selftest"))
     parser.add_argument("document", nargs="?", help="JSON problem document")
     parser.add_argument("--out", default=None, help="write the report/body here")
     parser.add_argument("--grid", default=None, help="grid spec RxC[xD]")

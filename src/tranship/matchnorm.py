@@ -12,13 +12,18 @@ Three independent routes to the same value:
 * :func:`brute_force_connection` -- exhaustive matching oracle for tiny
   unit-mass instances.
 
-The dual LP and both flat-norm LPs (:func:`flat_norm`) have one Lipschitz
-row per ordered atom pair, n(n-1) in all.  They are solved by row generation
-(:func:`_row_generated`): each LP starts from every atom's ``NEIGHBOURS``
-nearest atoms plus a star through atom 0, one all-pairs distance matrix
-checks the optimum against every pair, the violated pairs are added and the
-LP is solved again.  The optimum that violates no pair is the all-pairs
-optimum, with a few rows per atom instead of n.
+The dual LP and both flat-norm LPs (:func:`flat_norm`) are one LP
+(:func:`_lipschitz_lp`): maximize the pairing over potentials u, plus a
+Lipschitz budget L for ``sum``, with one row u_i - u_j <= L |x_i - x_j| per
+ordered atom pair, n(n-1) in all.  The kinds differ only in their row of the
+bounds table ``_LP_BOUNDS``: ``dual`` pins u_0 = 0 and fixes L = 1, ``max``
+bounds every |u_i| by 1 with L = 1, and ``sum`` bounds L to [0, 1] with the
+rows |u_i| + L <= 1.  The LP is solved by row generation: it starts from
+every atom's ``NEIGHBOURS`` nearest atoms plus a star through atom 0, one
+all-pairs distance matrix checks the optimum against every pair, the
+violated pairs are added and the LP is solved again.  The optimum that
+violates no pair is the all-pairs optimum, with a few rows per atom instead
+of n.
 
 The LP solver comes from :mod:`scipy.optimize`, which is imported on the
 first call of :func:`linprog`, so importing this module loads no scipy, and
@@ -148,21 +153,26 @@ def _read_only(values):
     return values
 
 
-def _pair_constraints(points, i, j):
+def _pair_constraints(points, i, j, budget=False):
     """Rows of u_i - u_j <= |x_i - x_j| for the ordered pairs (i[k], j[k]),
-    in the order given."""
-    rows = np.arange(i.size)
-    a_ub = np.zeros((i.size, len(points)))
+    in the order given.
+
+    With a `budget` the columns are (u, L) and this is the whole
+    ``sum`` matrix: the pair rows u_i - u_j - L |x_i - x_j| <= 0, then the
+    rows u_k + L <= 1 and -u_k + L <= 1 for each atom k in turn."""
+    n, rows = len(points), np.arange(i.size)
+    d = dists(points[i], points[j])
+    a_ub = np.zeros((i.size + 2 * n * budget, n + budget))
     a_ub[rows, i] = 1.0
     a_ub[rows, j] = -1.0
-    return a_ub, dists(points[i], points[j])
-
-
-def _highs(what, **lp):
-    res = linprog(**lp, method="highs", options=_LP_OPTIONS)
-    if not res.success:
-        raise TranshipError(f"{what} LP failed: {res.message}")
-    return res
+    if not budget:
+        return a_ub, d
+    a_ub[rows, n] = -d
+    atoms = np.arange(n)
+    a_ub[i.size + 2 * atoms, atoms] = 1.0
+    a_ub[i.size + 2 * atoms + 1, atoms] = -1.0
+    a_ub[i.size:, n] = 1.0
+    return a_ub, np.repeat([0.0, 1.0], [i.size, 2 * n])
 
 
 def _candidate_pairs(d):
@@ -183,35 +193,52 @@ def _candidate_pairs(d):
     return active
 
 
-def _row_generated(points, solve):
-    """Solve a Lipschitz-constrained LP by row generation.
+# the Lipschitz LPs: bounds of u_0, of the other u_i and of the budget L,
+# which is the constant 1 where it is None.  `dual` pins u_0 = 0, since its
+# balanced objective is invariant under constant shifts.
+_LP_BOUNDS = {
+    "dual": ((0.0, 0.0), (None, None), None),
+    "max": ((-1.0, 1.0), (-1.0, 1.0), None),
+    "sum": ((None, None), (None, None), (0.0, 1.0)),
+}
 
-    `solve(a_ub, b_ub)` solves the LP with the pair rows of
-    :func:`_pair_constraints` and returns ``(res, u, lip)``: the result, the
-    potential at every atom and its Lipschitz budget.  The rows start from
-    :func:`_candidate_pairs`; after each solve every pair (i, j) is checked
-    at once, and the pairs with ``u_i - u_j - lip * d_ij > LP_FEASIBILITY_TOL``
-    join the rows for the next solve.  The loop ends because every round adds
-    a pair.  The last optimum is feasible for the LP over all pairs and
-    optimal for a relaxation of it, so it is optimal for the full LP.
-    Returns ``(res, u, d)`` with `d` the all-pairs distance matrix.
+
+def _lipschitz_lp(f: SignedAtomMeasure, kind: str):
+    """Maximize sum_i m_i u_i subject to u_i - u_j <= L |x_i - x_j| on every
+    ordered atom pair, with the bounds of ``_LP_BOUNDS[kind]``.
+
+    Solved by row generation: the rows start from :func:`_candidate_pairs`;
+    after each solve every pair (i, j) is checked at once, and the pairs with
+    ``u_i - u_j - L d_ij > LP_FEASIBILITY_TOL`` join the rows for the next
+    solve.  The loop ends because every round adds a pair.  The last optimum
+    is feasible for the LP over all pairs and optimal for a relaxation of
+    it, so it is optimal for the full LP.  Returns ``(value, u, d)`` with `d`
+    the all-pairs distance matrix.
     """
-    d = dists(points[:, None], points[None])
+    n = len(f)
+    first, rest, budget = _LP_BOUNDS[kind]
+    c = -f.masses if budget is None else np.concatenate([-f.masses, [0.0]])
+    bounds = [first] + [rest] * (n - 1) + ([] if budget is None else [budget])
+    d = dists(f.points[:, None], f.points[None])
     active = _candidate_pairs(d)
     while True:
-        i, j = np.nonzero(active)
-        res, u, lip = solve(*_pair_constraints(points, i, j))
+        a_ub, b_ub = _pair_constraints(f.points, *np.nonzero(active), budget is not None)
+        res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_LP_OPTIONS)
+        del a_ub, b_ub  # free the matrix before the n x n arrays below
+        if not res.success:
+            raise TranshipError(f"{kind} Lipschitz LP failed: {res.message}")
+        u, lip = res.x[:n], 1.0 if budget is None else res.x[n]
         violated = u[:, None] - u[None] - lip * d > LP_FEASIBILITY_TOL
         violated &= ~active
         if not violated.any():
-            return res, u, d
+            return float(-res.fun), u, d
         active |= violated
 
 
 def dual_potential(f: SignedAtomMeasure):
     """Solve max sum_i m_i u(x_i) subject to the pairwise Lipschitz constraints.
 
-    Solved by row generation (:func:`_row_generated`): the LP starts from the
+    Solved by row generation (:func:`_lipschitz_lp`): the LP starts from the
     nearest-neighbour pairs and gains the pairs its optimum violates, until
     the optimum satisfies u_i - u_j <= |x_i - x_j| on all pairs.  Returns
     ``(Potential, value)`` with the potential shifted so its minimum is zero;
@@ -219,22 +246,9 @@ def dual_potential(f: SignedAtomMeasure):
     potential's ``lip_bound`` is its largest slope over all pairs.
     """
     f.require_balanced()
-    n = len(f)
-    if n == 0:
+    if len(f) == 0:
         return Potential(values=_read_only(np.zeros(0)), lip_bound=0.0), 0.0
-
-    def solve(a_ub, b_ub):
-        # pin u[0] = 0: the balanced objective is invariant under constant shifts
-        res = _highs(
-            "dual potential",
-            c=-f.masses[1:],
-            A_ub=a_ub[:, 1:],
-            b_ub=b_ub,
-            bounds=[(None, None)] * (n - 1),
-        )
-        return res, np.concatenate([[0.0], res.x]), 1.0
-
-    _, u, d = _row_generated(f.points, solve)
+    _, u, d = _lipschitz_lp(f, "dual")
     u -= u.min()
     value = float(np.sum(f.masses * u))
     apart = d > 0.0
@@ -249,9 +263,9 @@ def flat_norm(f: SignedAtomMeasure, convention: str = "max") -> float:
     ``sum``  : the uniform bound and the Lipschitz budget share a total of 1,
                encoded with an explicit budget variable L.
 
-    Both LPs are solved by row generation over the atom pairs, as in
-    :func:`dual_potential`; in the ``sum`` convention a pair is violated when
-    u_i - u_j exceeds L d_ij.
+    Both LPs are :func:`_lipschitz_lp`, solved by row generation over the
+    atom pairs as :func:`dual_potential` is; in the ``sum`` convention a pair
+    is violated when u_i - u_j exceeds L d_ij.
     """
     if convention not in ("max", "sum"):
         raise ValidationError(f"unknown flat norm convention {convention!r}")
@@ -260,41 +274,14 @@ def flat_norm(f: SignedAtomMeasure, convention: str = "max") -> float:
 
 
 def _flat_norm_lp(f: SignedAtomMeasure, convention: str):
-    n = len(f)
-    if n == 0:
+    if len(f) == 0:
         return 0.0, np.zeros(0)
-
-    def solve_max(a_pairs, b_pairs):
-        res = _highs("flat norm", c=-f.masses, A_ub=a_pairs, b_ub=b_pairs, bounds=[(-1.0, 1.0)] * n)
-        return res, res.x, 1.0
-
-    def solve_sum(a_pairs, b_pairs):
-        # variables (u_1..u_n, L): u_i - u_j <= L d_ij and |u_i| <= 1 - L
-        n_rows = a_pairs.shape[0]
-        a_ub = np.zeros((n_rows + 2 * n, n + 1))
-        b_ub = np.zeros(n_rows + 2 * n)
-        a_ub[:n_rows, :n] = a_pairs
-        a_ub[:n_rows, n] = -b_pairs
-        cols = np.arange(n)
-        a_ub[n_rows + 2 * cols, cols] = 1.0
-        a_ub[n_rows + 2 * cols + 1, cols] = -1.0
-        a_ub[n_rows:, n] = 1.0
-        b_ub[n_rows:] = 1.0
-        res = _highs(
-            "flat norm",
-            c=np.concatenate([-f.masses, [0.0]]),
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(None, None)] * n + [(0.0, 1.0)],
-        )
-        return res, res.x[:n], res.x[n]
-
-    res, u, _ = _row_generated(f.points, solve_max if convention == "max" else solve_sum)
+    value, u, _ = _lipschitz_lp(f, convention)
     if convention == "max" and f.balanced:
         # u + c stays optimal while |u + c| <= 1; report the centred one, not
         # whichever optimal vertex the solver reached
         u = u - (np.max(u) + np.min(u)) / 2
-    return float(-res.fun), u
+    return value, u
 
 
 @lru_cache(maxsize=8)

@@ -249,8 +249,7 @@ class CellField:
 
     @property
     def total_variation(self) -> float:
-        norms = np.sqrt((self.vectors**2).sum(axis=1))
-        return float(np.sum(norms) * self.grid.cell_volume)
+        return float(np.sum(dists(self.vectors, 0.0)) * self.grid.cell_volume)
 
 
 @dataclass(frozen=True)

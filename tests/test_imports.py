@@ -159,7 +159,9 @@ def test_flow_certified_commands_load_no_optimize(tmp_path, doc, args):
 
 
 @pytest.mark.parametrize(
-    "args", [["dual"], ["flatnorm", "--convention", "max"]], ids=["dual", "flatnorm"]
+    "args",
+    [["dual"], ["flatnorm", "--convention", "max"], ["flatnorm", "--convention", "sum"]],
+    ids=["dual", "flatnorm", "flatnorm-sum"],
 )
 def test_lp_commands_load_optimize(tmp_path, args):
     path = write_doc(tmp_path, DISTINCT_DOC)

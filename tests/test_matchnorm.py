@@ -296,6 +296,15 @@ class TestDualPotential:
         assert np.array_equal(a_ub, expected)
         assert b_ub.tolist() == [dist(points[i], points[j]) for i, j in pairs]
         assert _pair_constraints(points[:1], *np.nonzero(~np.eye(1, dtype=bool)))[0].shape == (0, 1)
+        # with the budget L as column 5: the pair rows in the same order with
+        # -d_ij in the L column, then u_k + L <= 1 and -u_k + L <= 1 per atom
+        a_sum, b_sum = _pair_constraints(points, *np.nonzero(~np.eye(5, dtype=bool)), True)
+        box = np.zeros((10, 6))
+        box[0::2, :5] = np.eye(5)
+        box[1::2, :5] = -np.eye(5)
+        box[:, 5] = 1.0
+        assert np.array_equal(a_sum, np.block([[expected, -b_ub[:, None]], [box]]))
+        assert b_sum.tolist() == [0.0] * len(pairs) + [1.0] * 10
 
     def test_unit_dipole_values(self, unit_dipole):
         pot, value = dual_potential(unit_dipole)
@@ -447,6 +456,21 @@ class TestFlatNorm:
             assert np.max(np.abs(u[:, None] - u[None])[off] / d[off]) <= 1.0 + tol
             assert abs(float(np.dot(f.masses, u)) - value) <= tol
 
+    def test_sum_potential_is_a_certificate(self):
+        # the offline check's rule for `sum`: max|u| plus the largest slope
+        # stays within the shared unit budget, and the pairing gives the value
+        rng = np.random.default_rng(20261019)
+        balanced = [random_balanced_measure(rng, max_pairs=12) for _ in range(5)]
+        unbalanced = [SignedAtomMeasure(f.points[1:], f.masses[1:]) for f in balanced]
+        for f in balanced + unbalanced + [_two_clusters()]:
+            value, u = matchnorm._flat_norm_lp(f, "sum")
+            tol = 1e-9 + 1e-7 * max(1.0, abs(value))
+            d = dists(f.points[:, None], f.points[None])
+            off = d > 0.0
+            slope = np.max(np.abs(u[:, None] - u[None])[off] / d[off], initial=0.0)
+            assert np.max(np.abs(u)) + slope <= 1.0 + tol
+            assert abs(float(np.dot(f.masses, u)) - value) <= tol
+
     def test_unknown_convention_rejected(self, unit_dipole):
         with pytest.raises(ValidationError):
             flat_norm(unit_dipole, "median")
@@ -506,6 +530,15 @@ def _distinct_masses(rng, points):
     return SignedAtomMeasure(points, np.concatenate([pos, -neg]))
 
 
+def _two_clusters():
+    """40 atoms in two clusters 100 apart, each unbalanced by 10, so mass 10
+    crosses the gap."""
+    rng = np.random.default_rng(3)
+    points = rng.uniform(size=(40, 2))
+    points[20:, 0] += 100.0
+    return SignedAtomMeasure(points, np.repeat([1.0, -1.0, 1.0, -1.0], [15, 5, 5, 15]))
+
+
 class TestRowGeneration:
     """The dual and flat-norm LPs start from nearest-neighbour pairs and add
     violated pairs until the optimum is feasible for every pair."""
@@ -535,14 +568,9 @@ class TestRowGeneration:
         assert abs(value - cost) <= 1e-12 * cost
 
     def test_disconnected_neighbour_graph(self):
-        # two clusters 100 apart: no atom's 8 nearest neighbours cross the
-        # gap, and the star through atom 0 keeps the first LP bounded
-        rng = np.random.default_rng(3)
-        points = rng.uniform(size=(40, 2))
-        points[20:, 0] += 100.0
-        # each cluster is unbalanced by 10, so mass 10 crosses the gap
-        masses = np.repeat([1.0, -1.0, 1.0, -1.0], [15, 5, 5, 15])
-        f = SignedAtomMeasure(points, masses)
+        # no atom's 8 nearest neighbours cross the gap, and the star through
+        # atom 0 keeps the first LP bounded
+        f = _two_clusters()
         active = matchnorm._candidate_pairs(dists(f.points[:, None], f.points[None]))
         assert np.array_equal(active, active.T)
         cross = active.copy()

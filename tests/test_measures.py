@@ -149,6 +149,21 @@ class TestPair:
             pair(f, high)
 
 
+class TestCellField:
+    @pytest.mark.parametrize("vector", [(0.1, 0.4), (0.1, 1.7, 0.7)])
+    def test_total_variation_has_the_bits_of_vec_norm(self, vector):
+        # every distance comes from `geom.dists`, so a cell's norm has the bits
+        # of the `vec_norm` the resampler uses; `sqrt(sum(v**2))` can round
+        # differently, as it does for these two vectors with OpenBLAS's dot
+        from tranship.geom import Domain, Grid
+        from tranship.measures import CellField
+
+        dim = len(vector)
+        grid = Grid(Domain(np.zeros(dim), np.full(dim, 2.0)), (1,) * dim)
+        cells = CellField(grid=grid, vectors=np.array([vector]))
+        assert cells.total_variation == vec_norm(vector) * grid.cell_volume
+
+
 class TestAtomMeasure:
     def test_merging_and_zero_drop(self):
         m = SignedAtomMeasure.from_atoms(
