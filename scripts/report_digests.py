@@ -7,10 +7,10 @@ with ``--out``, and prints one line per job:
 
     workload job exit sha256(out) sha256(stderr) warnings
 
-Five lines of workload ``pairing`` follow, for documents seeded here from
+Six lines of workload ``pairing`` follow, for documents seeded here from
 ``--seed`` and ``--variant`` (see :func:`pairing_documents`): they reach
-test functions, cell fields, 3-d pairings, a 3-d plan raster and a 3-d
-modulus spot-check, which no benchmark document does.
+test functions, cell fields, 3-d pairings, a 3-d plan raster, a cell-field
+raster and a 3-d modulus spot-check, which no benchmark document does.
 
 ``-`` stands for a job that wrote no output file; ``warnings`` is the length
 of a JSON report's ``warnings`` list, or ``-`` for any other output.  The
@@ -172,18 +172,23 @@ def pairing_documents(seed: int, variant: int) -> dict:
     """``name -> (command, document, flags)`` for the paths the benchmark's
     documents leave out: pairings against coordinate, polynomial and radial
     bump test functions, cell fields and 3-d geometry, including the
-    rasterized 3-d plan and a 3-d modulus.  Every job exits 0 with no report
+    rasterized 3-d plan and a 3-d modulus.  ``raster-cells`` rasterizes the
+    2-d document without its plan, so the vector atoms, segments and cell
+    field are rasterized themselves.  Every job exits 0 with no report
     warnings."""
     def rng_for(name):
         return np.random.default_rng([seed, variant, zlib.crc32(name.encode())])
 
+    functions_2d = _plan_check_document(rng_for("functions-2d"), 2)
     functions_3d = _plan_check_document(rng_for("functions-3d"), 3)
+    without_plan = {key: value for key, value in functions_2d.items() if key != "plan"}
     return {
-        "functions-2d": ("plan-check", _plan_check_document(rng_for("functions-2d"), 2), []),
+        "functions-2d": ("plan-check", functions_2d, []),
         "functions-3d": ("plan-check", functions_3d, []),
         "certified-3d": ("decompose", _certified_3d_document(rng_for("certified-3d")), []),
         "dipoles-3d": ("modulus", _dipole_3d_document(rng_for("dipoles-3d")), ["--format", "json"]),
         "raster-3d": ("density", functions_3d, ["--grid", "4x4x4", "--format", "csv"]),
+        "raster-cells": ("density", without_plan, ["--grid", "12x8", "--format", "csv"]),
     }
 
 

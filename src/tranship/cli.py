@@ -1,9 +1,15 @@
 """Command-line front end.
 
 One JSON document in, one JSON report out (densities may instead emit
-csv/svg/ascii).  Reports are deterministic: identical input files and flags
-produce byte-identical output.  Exit codes: 0 success, 2 validation failure,
-3 infeasible, 4 tolerance/verification failure.
+csv/svg/ascii, and ``modulus`` csv).  Reports are deterministic: identical
+input files and flags produce byte-identical output.  Exit codes: 0 success,
+2 validation failure, 3 infeasible, 4 tolerance/verification failure.
+
+There is one output path.  Every handler, ``_cmd_selftest`` included,
+returns ``(status, output)`` and writes nothing itself: the output is the
+report dict, whose record lists ``_table`` builds from named array columns,
+or the bytes of a csv/svg/ascii body.  ``run`` writes it in one place, with
+``_emit`` for a report and ``_emit_bytes`` for bytes.
 
 At module level this imports only the standard library and ``.errors``.
 Numpy, the document parser and the solver modules are imported inside the
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -42,42 +49,46 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _records(names, rows) -> list:
-    """One dict per row, keyed by `names`; build the rows from ``.tolist()``
-    columns, which hold Python floats and ints, so no value is converted one
-    at a time."""
-    return [dict(zip(names, row)) for row in rows]
-
-
-def _float_rows(array) -> list:
+def _table(**columns) -> list:
+    """One dict per row, keyed by column name.  Each column is converted
+    whole by ``np.asarray(column).tolist()``, so float columns hold Python
+    floats, int columns Python ints, and no value is converted one at a
+    time."""
     import numpy as np
 
-    return np.asarray(array, dtype=float).tolist()
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    return [dict(zip(columns, row)) for row in rows]
 
 
-def _point_list(points, values) -> list:
-    return _records(("point", "value"), zip(_float_rows(points), _float_rows(values)))
+def _tolerance(text: str) -> float:
+    """argparse type of --tol-abs and --tol-rel: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+def _eps_list(text: str) -> list:
+    """argparse type of --eps: comma-separated finite numbers."""
+    try:
+        values = [float(token) for token in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers, got {text!r}"
+        )
+    return values
 
 
 class _OutputError(Exception):
     """The output file could not be written."""
 
 
-_JSON_FORMAT = {"indent": 2, "sort_keys": True, "default": _json_default}
+_JSON_FORMAT = {"indent": 2, "sort_keys": True}
 
 
 def _emit(report: dict, out_path):
@@ -127,7 +138,7 @@ def _base_report(command: str, digest) -> dict:
     }
 
 
-def _cmd_connect(doc: ProblemDocument, args, report: dict) -> int:
+def _cmd_connect(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
     import numpy as np
 
     from . import matchnorm as mn
@@ -138,16 +149,15 @@ def _cmd_connect(doc: ProblemDocument, args, report: dict) -> int:
     dual_value = float(np.sum(f.masses * matching.potential))
     gap = abs(matching.cost - dual_value)
     report["values"]["cost"] = matching.cost
-    report["certificates"]["edges"] = _records(
-        ("source", "target", "mass"),
-        zip(_float_rows(points[i]), _float_rows(points[j]), matching.masses.tolist()),
+    report["certificates"]["edges"] = _table(
+        source=points[i], target=points[j], mass=matching.masses
     )
-    report["certificates"]["potential"] = _point_list(points, matching.potential)
+    report["certificates"]["potential"] = _table(point=points, value=matching.potential)
     report["residuals"]["duality_gap"] = gap
     report["residuals"]["slackness"] = _max_slackness(matching)
     if gap > args.tol_abs + args.tol_rel * max(1.0, abs(matching.cost)):
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        return EXIT_VERIFICATION, report
+    return EXIT_OK, report
 
 
 def _max_slackness(matching) -> float:
@@ -162,29 +172,29 @@ def _max_slackness(matching) -> float:
     return float(np.max(np.abs(u[i] - u[j] - dists(points[i], points[j])), initial=0.0))
 
 
-def _cmd_dual(doc: ProblemDocument, args, report: dict) -> int:
+def _cmd_dual(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
     from . import matchnorm as mn
 
     f = doc.atom_distribution().measure_part
     potential, value = mn.dual_potential(f)
     report["values"]["value"] = value
     report["values"]["lip_bound"] = potential.lip_bound
-    report["certificates"]["potential"] = _point_list(f.points, potential.values)
-    return EXIT_OK
+    report["certificates"]["potential"] = _table(point=f.points, value=potential.values)
+    return EXIT_OK, report
 
 
-def _cmd_flatnorm(doc: ProblemDocument, args, report: dict) -> int:
+def _cmd_flatnorm(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
     from . import matchnorm as mn
 
     f = doc.atom_distribution().measure_part
     value, u = mn._flat_norm_lp(f, args.convention)
     report["values"]["value"] = value
     report["values"]["convention"] = args.convention
-    report["certificates"]["potential"] = _point_list(f.points, u)
-    return EXIT_OK
+    report["certificates"]["potential"] = _table(point=f.points, value=u)
+    return EXIT_OK, report
 
 
-def _cmd_beckmann(doc: ProblemDocument, args, report: dict) -> int:
+def _cmd_beckmann(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
     import numpy as np
 
     from . import beckmann as bk
@@ -201,14 +211,11 @@ def _cmd_beckmann(doc: ProblemDocument, args, report: dict) -> int:
     report["values"]["cost"] = flow.cost
     report["values"]["anisotropy_bound"] = bound
     carrying = np.flatnonzero(flow.edge_flows)
-    i, j = net.edges[carrying].T.tolist()
-    report["certificates"]["flows"] = _records(
-        ("i", "j", "flow"), zip(i, j, flow.edge_flows[carrying].tolist())
-    )
-    report["certificates"]["potentials"] = _point_list(net.points, flow.potentials)
-    worst_balance = _flow_balance_residual(net, flow)
-    report["residuals"]["node_balance"] = worst_balance
-    return EXIT_OK
+    i, j = net.edges[carrying].T
+    report["certificates"]["flows"] = _table(i=i, j=j, flow=flow.edge_flows[carrying])
+    report["certificates"]["potentials"] = _table(point=net.points, value=flow.potentials)
+    report["residuals"]["node_balance"] = _flow_balance_residual(net, flow)
+    return EXIT_OK, report
 
 
 def _flow_balance_residual(net, flow) -> float:
@@ -221,7 +228,7 @@ def _flow_balance_residual(net, flow) -> float:
     return float(np.max(np.abs(balance))) if balance.size else 0.0
 
 
-def _cmd_plan_check(doc: ProblemDocument, args, report: dict) -> int:
+def _cmd_plan_check(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
     from .genplan import verify_projection
 
     if doc.plan is None:
@@ -235,10 +242,10 @@ def _cmd_plan_check(doc: ProblemDocument, args, report: dict) -> int:
     report["values"]["passed"] = check.passed
     report["residuals"]["per_function"] = list(check.residuals)
     report["values"]["note"] = check.note
-    return EXIT_OK if check.passed else EXIT_VERIFICATION
+    return (EXIT_OK if check.passed else EXIT_VERIFICATION), report
 
 
-def _cmd_density(doc: ProblemDocument, args, report: dict) -> int:
+def _cmd_density(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
     """Rasterize, in order of precedence: the document's plan, its vector
     measure, or the optimal matching of its atoms."""
     from . import density as dens
@@ -260,11 +267,10 @@ def _cmd_density(doc: ProblemDocument, args, report: dict) -> int:
         f = doc.atom_distribution().measure_part
         matching = mn.minimal_connection(f)
         result = dens.rasterize_plan(matching, grid)
-    _emit_bytes(dens.export(result, args.format), args.out)
-    return EXIT_OK
+    return EXIT_OK, dens.export(result, args.format)
 
 
-def _cmd_decompose(doc: ProblemDocument, args, report: dict) -> int:
+def _cmd_decompose(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
     from . import sharpspace as sharp
 
     nu = doc.vector_measure
@@ -278,7 +284,7 @@ def _cmd_decompose(doc: ProblemDocument, args, report: dict) -> int:
         report["certificates"]["claimed_value"] = result.claimed_value
     report["certificates"]["f_T"] = _serialize_divergence(result.tangential)
     report["certificates"]["f_N"] = _serialize_divergence(result.normal)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
 def _serialize_divergence(f: Distribution) -> dict:
@@ -286,50 +292,36 @@ def _serialize_divergence(f: Distribution) -> dict:
 
     nu = f.divergence_part
     out = {
-        "atoms": _records(
-            ("point", "vector"), zip(_float_rows(nu.atom_points), _float_rows(nu.atom_vectors))
-        ),
-        "segments": _records(
-            ("a", "b", "density"),
-            zip(_float_rows(nu.seg_a), _float_rows(nu.seg_b), _float_rows(nu.seg_density)),
-        ),
+        "atoms": _table(point=nu.atom_points, vector=nu.atom_vectors),
+        "segments": _table(a=nu.seg_a, b=nu.seg_b, density=nu.seg_density),
+        "as_measure": None,
     }
-    converted = (
-        divergence_as_measure(nu) if nu.cells is None else NotAMeasure("cells present")
-    )
-    if isinstance(converted, NotAMeasure):
-        out["as_measure"] = None
-    else:
-        out["as_measure"] = _records(
-            ("point", "mass"), zip(_float_rows(converted.points), _float_rows(converted.masses))
-        )
+    if nu.cells is None:
+        converted = divergence_as_measure(nu)
+        if not isinstance(converted, NotAMeasure):
+            out["as_measure"] = _table(point=converted.points, mass=converted.masses)
     return out
 
 
-def _cmd_modulus(doc: ProblemDocument, args, report: dict) -> int:
+def _cmd_modulus(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
     from . import sharpspace as sharp
 
     if doc.dipoles is None:
         raise ValidationError("modulus requires a 'dipoles' section")
-    eps_list = doc.options.get("eps")
-    if args.eps:
-        try:
-            eps_list = [float(tok) for tok in args.eps.split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"--eps: expected comma-separated numbers, got {args.eps!r}") from exc
+    eps_list = args.eps or doc.options.get("eps")
     if not eps_list:
         raise ValidationError("modulus requires eps values (--eps or options.eps)")
     curve = sharp.modulus(doc.dipoles, eps_list, seed=args.seed)
     if args.format == "csv":
         lines = ["eps,C,k"] + [f"{eps!r},{c},{k}" for eps, c, k in curve.samples]
-        _emit_bytes(("\n".join(lines) + "\n").encode(), args.out)
-        return EXIT_OK
-    report["values"]["table"] = _records(("eps", "C", "k"), curve.samples)
+        return EXIT_OK, ("\n".join(lines) + "\n").encode()
+    eps, c, k = zip(*curve.samples)
+    report["values"]["table"] = _table(eps=eps, C=c, k=k)
     report["residuals"]["verified_margin"] = curve.verified_margin
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple[int, dict]:
     from .testing import GOLDEN, SUITES
 
     golden = dict(GOLDEN)
@@ -346,8 +338,7 @@ def _cmd_selftest(args) -> int:
         result = SUITES[name](args.seed, golden)
         report["values"][name] = result
         all_passed = all_passed and result["passed"]
-    _emit(report, args.out)
-    return EXIT_OK if all_passed else EXIT_VERIFICATION
+    return (EXIT_OK if all_passed else EXIT_VERIFICATION), report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,11 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--diagonals", action="store_true", help="grid: include diagonal edges")
     parser.add_argument("--format", default="csv", choices=("csv", "svg", "ascii", "json"))
     parser.add_argument("--convention", default="max", choices=("max", "sum"))
-    parser.add_argument("--tol-abs", type=float, default=1e-9, dest="tol_abs")
-    parser.add_argument("--tol-rel", type=float, default=1e-7, dest="tol_rel")
+    parser.add_argument("--tol-abs", type=_tolerance, default=1e-9, dest="tol_abs")
+    parser.add_argument("--tol-rel", type=_tolerance, default=1e-7, dest="tol_rel")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--filter", default=None, help="selftest: run one suite")
-    parser.add_argument("--eps", default=None, help="modulus: comma-separated eps values")
+    parser.add_argument(
+        "--eps", type=_eps_list, default=None, help="modulus: comma-separated eps values"
+    )
     parser.add_argument(
         "--inject-fault", default=None, dest="inject_fault",
         help="selftest only: perturb a golden value to exercise failure detection",
@@ -400,22 +393,22 @@ def run(argv) -> int:
                 f"{args.command} --format must be one of {', '.join(formats)}, got {args.format!r}"
             )
         if args.command == "selftest":
-            return _cmd_selftest(args)
-        if not args.document:
+            status, output = _cmd_selftest(args)
+        elif not args.document:
             raise ValidationError(f"{args.command} requires a document path")
-        from .document import load_document
+        else:
+            from .document import load_document
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            doc = load_document(args.document)
-            report = _base_report(args.command, _digest(args.document))
-            status = _HANDLERS[args.command](doc, args, report)
-            for w in caught:
-                report["warnings"].append(str(w.message))
-        if args.command not in ("density",) and not (
-            args.command == "modulus" and args.format == "csv"
-        ):
-            _emit(report, args.out)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                doc = load_document(args.document)
+                report = _base_report(args.command, _digest(args.document))
+                status, output = _HANDLERS[args.command](doc, args, report)
+                report["warnings"].extend(str(w.message) for w in caught)
+        if isinstance(output, bytes):
+            _emit_bytes(output, args.out)
+        else:
+            _emit(output, args.out)
         return status
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -448,6 +448,46 @@ class TestCommands:
         assert run(["decompose", write_doc(tmp_path, doc)]) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    @pytest.mark.parametrize("command", ["connect", "plan-check"])
+    def test_tolerances_are_finite_and_nonnegative(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "report.json"
+        argv = [command, str(tmp_path / "missing.json"), f"{flag}={value}", "--out", str(out)]
+        assert run(argv) == 2  # before the document is read
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: expected a finite number >= 0, got '{value}'\n"
+        )
+        assert not out.exists()
+
+    def test_duality_gap_beyond_tolerance_exits_4(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import tranship.matchnorm
+
+        solve = tranship.matchnorm.minimal_connection
+
+        def costlier(f):
+            matching = solve(f)
+            return dataclasses.replace(matching, cost=matching.cost + 1.0)
+
+        monkeypatch.setattr(tranship.matchnorm, "minimal_connection", costlier)
+        path = write_doc(tmp_path, UNIT_DIPOLE_DOC)
+        assert run(["connect", path]) == 4
+        assert run(["connect", path, "--tol-abs", "1.5"]) == 0
+        assert run(["connect", path, "--tol-abs", "nan"]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("eps", ["inf", "1e400", "0.1,-inf"])
+    def test_eps_flag_is_finite(self, tmp_path, capsys, eps):
+        out = tmp_path / "report.json"
+        assert run(["modulus", write_doc(tmp_path, self.CHAIN_DOC), f"--eps={eps}",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --eps: expected comma-separated finite numbers, got '{eps}'\n"
+        )
+        assert not out.exists()
+
     def test_infeasible_exit_code(self, tmp_path, monkeypatch):
         # grid and complete networks are connected by construction, so force
         # the infeasible path through the runner with a solver stub
@@ -506,24 +546,23 @@ class TestSlackness:
 
 
 class TestReportWriting:
+    # handlers build reports from `_table` rows and Python scalars only
     REPORT = {
         "command": "beckmann",
-        "values": {"cost": np.float64(1.25), "count": np.int64(3), "ok": np.bool_(True)},
+        "values": {"cost": 1.25, "count": 3, "ok": True},
         "certificates": {
-            "flows": np.array([[0.5, -0.0], [1e-300, 2.5e17]]),
-            "index": np.arange(3),
-            "nested": {"deeper": [{"empty": [], "none": {}}, [np.float32(0.5), None]]},
+            "flows": [[0.5, -0.0], [1e-300, 2.5e17]],
+            "index": [0, 1, 2],
+            "nested": {"deeper": [{"empty": [], "none": {}}, [0.5, None]]},
         },
-        "residuals": {"nan": float("nan"), "pos": float("inf"), "neg": -np.inf},
+        "residuals": {"nan": math.nan, "pos": math.inf, "neg": -math.inf},
         "warnings": ["déjà vu ≈ \U0001f600"],
     }
 
     def test_file_has_the_bytes_of_json_dumps(self, tmp_path):
         out = tmp_path / "report.json"
         cli._emit(self.REPORT, str(out))
-        expected = json.dumps(
-            self.REPORT, indent=2, sort_keys=True, default=cli._json_default
-        ) + "\n"
+        expected = json.dumps(self.REPORT, indent=2, sort_keys=True) + "\n"
         assert out.read_bytes() == expected.encode()
 
     def test_stdout_has_the_same_text(self, tmp_path, capsys):
@@ -546,16 +585,22 @@ class TestReportWriting:
         points = rng.normal(size=(17, dim))
         points[3] = -0.0
         values = rng.normal(size=17) * 10.0 ** rng.integers(-300, 300, size=17)
-        assert cli._point_list(points, values) == [
+        values[5] = -0.0
+        rows = cli._table(point=points, value=values)
+        expected = [
             {"point": [float(c) for c in p], "value": float(v)} for p, v in zip(points, values)
         ]
-        vectors = rng.normal(size=(17, dim))
-        assert cli._records(
-            ("a", "b", "mass"), zip(points.tolist(), vectors.tolist(), values.tolist())
-        ) == [
-            {"a": [float(c) for c in a], "b": [float(c) for c in b], "mass": float(m)}
-            for a, b, m in zip(points, vectors, values)
-        ]
-        for got, want in zip(cli._point_list(points, values), (p.tolist() for p in points)):
-            assert all(type(c) is float for c in got["point"]) and got["point"] == want
-        assert cli._point_list(np.zeros((0, dim)), np.zeros(0)) == []
+        # json writes floats by repr, which tells -0.0 from 0.0 and keeps every bit
+        assert repr(rows) == repr(expected)
+        assert all(type(c) is float for row in rows for c in [*row["point"], row["value"]])
+        edges = rng.integers(0, 17, size=(9, 2))
+        flows = cli._table(i=edges[:, 0], j=edges[:, 1], flow=values[:9])
+        assert repr(flows) == repr(
+            [{"i": int(i), "j": int(j), "flow": float(v)} for (i, j), v in zip(edges, values)]
+        )
+        assert all(type(row["i"]) is int and type(row["j"]) is int for row in flows)
+        eps, c, k = zip((0.25, 4, 2), (1e-300, 6, 3))  # the modulus table's tuple columns
+        table = cli._table(eps=eps, C=c, k=k)
+        assert table == [{"eps": 0.25, "C": 4, "k": 2}, {"eps": 1e-300, "C": 6, "k": 3}]
+        assert [type(row["C"]) for row in table] == [int, int]
+        assert cli._table(point=np.zeros((0, dim)), value=np.zeros(0)) == []

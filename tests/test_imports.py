@@ -212,8 +212,10 @@ EXPORTS = {
         ("import tranship", None),
         ("from tranship.cli import run\nstatus = run(['--help'])", 0),
         ("from tranship.cli import run\nstatus = run(['connect'])", 2),
+        ("from tranship.cli import run\nstatus = run(['connect', 'x.json', '--tol-abs=nan'])", 2),
+        ("from tranship.cli import run\nstatus = run(['modulus', 'x.json', '--eps=0.1,inf'])", 2),
     ],
-    ids=["import", "help", "connect-without-document"],
+    ids=["import", "help", "connect-without-document", "tol-abs-nan", "eps-inf"],
 )
 def test_no_numpy_before_a_command_runs(code, status):
     assert modules_after(code) == {"status": status, "numpy": False, "scipy": []}
