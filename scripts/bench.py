@@ -23,8 +23,9 @@ median.  Cases:
 * ``minimal_connection`` at 100 / 200 / 400 / 800 / 1200 atoms, and on
   400 + 400 unit masses (the same seeded points, masses +1 and -1);
 * ``solve_beckmann`` on the complete graph at 100 / 200 atoms, and on 64²,
-  128² with diagonals and 256² grids over 36 atoms in the unit box (the
-  network is built outside the timed call);
+  128² with diagonals and 256² grids over 36 atoms in the unit box and a
+  32³ grid with diagonals (the 26-neighbour stencil) over 36 atoms in the
+  unit cube (the network is built outside the timed call);
 * the CLI report path at scale: ``tranship beckmann --grid 256x256`` over the
   36-atom instance and ``tranship connect`` at 800 atoms, each through
   ``tranship.cli.run`` with ``--out`` into a temporary directory.  Each of
@@ -73,7 +74,8 @@ from tranship.measures import SignedAtomMeasure  # noqa: E402
 LP_SIZES = (100, 160, 400, 800)
 FLOW_SIZES = (100, 200, 400, 800, 1200)
 UNIT_FLOW_SIZE = 800
-GRIDS = ((64, False), (128, True), (256, False))
+# (shape, diagonals) of the solve_beckmann grid cases
+GRIDS = (((64, 64), False), ((128, 128), True), ((256, 256), False), ((32, 32, 32), True))
 GRID_ATOMS = 36
 COMPLETE_SIZES = (100, 200)
 # command line -> atoms in its document
@@ -84,7 +86,7 @@ STARTUP_CASES = (("--help", 0), ("connect", 100))
 MIB = float(1 << 20)
 
 
-def instance(n: int, seed: int, unit: bool = False) -> SignedAtomMeasure:
+def instance(n: int, seed: int, unit: bool = False, dim: int = 2) -> SignedAtomMeasure:
     rng = np.random.default_rng([seed, n])
     half = n // 2
     pos = rng.uniform(0.5, 1.5, size=half)
@@ -92,7 +94,7 @@ def instance(n: int, seed: int, unit: bool = False) -> SignedAtomMeasure:
     neg *= pos.sum() / neg.sum()
     if unit:
         pos, neg = np.ones(half), np.ones(n - half)
-    return SignedAtomMeasure(rng.uniform(size=(n, 2)), np.concatenate([pos, -neg]))
+    return SignedAtomMeasure(rng.uniform(size=(n, dim)), np.concatenate([pos, -neg]))
 
 
 def timed(call, repeats: int):
@@ -247,12 +249,13 @@ def flow_cases(seed: int, repeats: int):
         yield {"case": "solve_beckmann", "graph": "complete", "atoms": n,
                "edges": int(net.edges.shape[0]), "time_s": median,
                "times_s": times, "value": flow.cost}
-    domain = Domain(np.zeros(2), np.ones(2))
-    f = instance(GRID_ATOMS, seed)
-    for side, diagonals in GRIDS:
-        net = beckmann.grid_network(domain, (side, side), f, diagonals=diagonals)
+    for shape, diagonals in GRIDS:
+        dim = len(shape)
+        f = instance(GRID_ATOMS, seed, dim=dim)
+        domain = Domain(np.zeros(dim), np.ones(dim))
+        net = beckmann.grid_network(domain, shape, f, diagonals=diagonals)
         median, times, flow = timed(lambda: beckmann.solve_beckmann(net), repeats)
-        yield {"case": "solve_beckmann", "grid": f"{side}x{side}", "diagonals": diagonals,
+        yield {"case": "solve_beckmann", "grid": "x".join(map(str, shape)), "diagonals": diagonals,
                "atoms": GRID_ATOMS, "edges": int(net.edges.shape[0]), "time_s": median,
                "times_s": times, "value": flow.cost}
 

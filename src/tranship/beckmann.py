@@ -5,6 +5,36 @@ the complete graph over the atom support (where the optimum equals the
 Kantorovich norm exactly) or a regular grid graph (where the graph metric
 distorts Euclidean cost by a known anisotropy factor, reported rather than
 hidden).
+
+:func:`solve_beckmann` picks its solver by how the network was built, never
+by its size.  A network from :func:`complete_network`, or one built by hand,
+is solved on its arc list by
+:func:`~tranship.mincostflow.solve_min_cost_flow` (the graph-flow route,
+with scipy's Dijkstra).  A network from :func:`grid_network` records its
+:class:`~tranship.geom.Grid` and stencil and is solved in the grid's
+closed-form metric, with numpy alone.  On an uncapacitated graph the minimal
+flow is the transport between the supply nodes and the demand nodes, each
+pair at its graph distance (Beckmann, *Econometrica* 20, 1952; flow
+decomposition, Ahuja, Magnanti & Orlin, *Network Flows*, 1993), so a grid
+solve is:
+
+1. the grid-graph distance between every source cell and every sink cell
+   (:func:`_grid_metric`).  With cell sides ``h`` and a cell offset ``d``
+   it is ``sum_k |d_k| h_k`` on the axis stencil.  With diagonals it is
+   greedy: each step moves along every axis that still has cells to cover
+   and costs ``sqrt(sum h_k**2)`` over those axes;
+2. that sources-by-sinks transport, by
+   :func:`~tranship.mincostflow.solve_transport`;
+3. each flow-carrying pair routed along its canonical shortest path
+   (:func:`_route`): on the axis stencil all of axis 0's steps, then axis
+   1's, and so on; with diagonals the greedy steps of the metric;
+4. as potentials, the c-transform ``phi(x) = min_t (v_t + d(x, t))`` of the
+   transport's sink potentials ``v`` over every cell
+   (:func:`_grid_potentials`), which is feasible on every edge and tight
+   along every routed path.
+
+Both solvers give the cost as the left-to-right sum of ``|flow| * length``
+over the carrying edges (:func:`~tranship.geom.ordered_sum`).
 """
 
 from __future__ import annotations
@@ -17,7 +47,7 @@ import numpy as np
 from .errors import ValidationError
 from .geom import Domain, Grid, dists, ordered_sum
 from .measures import BALANCE_RTOL, SignedAtomMeasure, StructuredVectorMeasure
-from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow
+from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow, solve_transport
 
 __all__ = [
     "FlowNetwork",
@@ -38,6 +68,8 @@ class FlowNetwork:
     edges: np.ndarray  # (m, 2) node index pairs
     lengths: np.ndarray  # (m,) positive edge lengths
     supply: np.ndarray  # (n,) signed reals, summing to ~0
+    # (grid, diagonals) of a grid_network, whose nodes are the grid's cells
+    grid: tuple | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -106,6 +138,18 @@ def _neighbor_offsets(dim: int, diagonals: bool):
     return [off for off in offsets if off > tuple(-o for o in off)]
 
 
+def _grid_steps(shape, diagonals: bool):
+    """The stencil's offsets, one per undirected direction, and the
+    (cells, offsets) mask of the steps that stay inside the grid.  Cells run
+    in C order, then the offsets in order: edge k of :func:`grid_network`
+    is the k-th True entry."""
+    offsets = np.array(_neighbor_offsets(len(shape), diagonals))
+    cells = np.indices(shape).reshape(len(shape), -1, 1)
+    ends = cells + offsets.T[:, None, :]
+    inside = np.all((ends >= 0) & (ends < np.reshape(shape, (-1, 1, 1))), axis=0)
+    return offsets, inside
+
+
 def grid_network(
     domain: Domain,
     resolution,
@@ -118,6 +162,8 @@ def grid_network(
     degenerate axes with one cell are allowed so 1-d problems embed naturally.
     Binning ties at cell boundaries go to the lower-index cell.  A cell whose
     atoms cancel to within the flow solver's zero threshold gets supply 0.
+    The network records the grid and the stencil, which
+    :func:`solve_beckmann` solves in.
     """
     resolution = tuple(int(r) for r in resolution)
     if len(resolution) != domain.dim:
@@ -131,19 +177,17 @@ def grid_network(
     domain.require_inside(f.points, "atom at {} lies outside the grid domain")
     supply = np.bincount(grid.cell_indices(f.points), weights=f.masses, minlength=grid.n_cells)
     supply[np.abs(supply) <= ZERO_SUPPLY_RTOL * f.mass_scale] = 0.0
-    # every cell (C order) against every offset (in _neighbor_offsets order)
-    shape = np.asarray(resolution)
-    cells = np.indices(resolution).reshape(domain.dim, -1).T
-    offsets = np.array(_neighbor_offsets(domain.dim, diagonals))
-    nbs = cells[:, None, :] + offsets[None, :, :]
-    inside = np.all((nbs >= 0) & (nbs < shape), axis=2)
-    i = np.broadcast_to(np.arange(grid.n_cells)[:, None], inside.shape)[inside]
-    j = np.ravel_multi_index(tuple(nbs[inside].T), resolution)
+    offsets, inside = _grid_steps(resolution, diagonals)
+    i, step = np.nonzero(inside)
+    # a step moves the flat C-order cell index by its offsets times the strides
+    strides = np.cumprod((1,) + resolution[:0:-1])[::-1]
+    j = i + (offsets @ strides)[step]
     return FlowNetwork(
         points=centers,
         edges=np.column_stack([i, j]),
         lengths=dists(centers[i], centers[j]),
         supply=supply,
+        grid=(grid, bool(diagonals)),
     )
 
 
@@ -151,21 +195,124 @@ def solve_beckmann(net: FlowNetwork) -> Flow:
     """Min-cost flow routing the node supplies; cost = sum |flow| * length.
 
     On the complete Euclidean graph over an atom support the cost equals the
-    Kantorovich norm of the supply measure.  Raises
-    :class:`~tranship.errors.InfeasibleFlowError` when supply is disconnected
-    from demand.
+    Kantorovich norm of the supply measure.  A network from
+    :func:`grid_network` is solved in its closed-form grid metric, any other
+    by :func:`~tranship.mincostflow.solve_min_cost_flow` (see the module
+    docstring).  Raises :class:`~tranship.errors.InfeasibleFlowError` when
+    supply is disconnected from demand.
     """
-    m = net.edges.shape[0]
-    arcs = np.empty((2 * m, 2), dtype=int)
-    arcs[:m] = net.edges
-    arcs[m:] = net.edges[:, ::-1]
-    costs = np.concatenate([net.lengths, net.lengths])
-    sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
-    edge_flows = sol.arc_flows[:m] - sol.arc_flows[m:]
+    if net.grid is not None:
+        edge_flows, potentials = _solve_on_grid(net)
+    else:
+        m = net.edges.shape[0]
+        arcs = np.empty((2 * m, 2), dtype=int)
+        arcs[:m] = net.edges
+        arcs[m:] = net.edges[:, ::-1]
+        costs = np.concatenate([net.lengths, net.lengths])
+        sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
+        edge_flows = sol.arc_flows[:m] - sol.arc_flows[m:]
+        potentials = sol.potentials
     carrying = np.flatnonzero(edge_flows)
     cost = ordered_sum(np.abs(edge_flows[carrying]) * net.lengths[carrying])
     edge_flows.setflags(write=False)
-    return Flow(edge_flows=edge_flows, potentials=sol.potentials, cost=cost)
+    return Flow(edge_flows=edge_flows, potentials=potentials, cost=cost)
+
+
+# bytes of one (cells, sinks, dim) array in a block of the grid potentials
+_BLOCK_BYTES = 1 << 22
+
+
+def _solve_on_grid(net: FlowNetwork):
+    """Edge flows and node potentials of a grid network: the transport
+    between its source and sink cells at grid distances, routed along
+    canonical shortest paths, with the c-transform of the sink potentials
+    as node potentials."""
+    grid, diagonals = net.grid
+    sources = np.flatnonzero(net.supply > 0.0)
+    sinks = np.flatnonzero(net.supply < 0.0)
+    source_cells = np.column_stack(np.unravel_index(sources, grid.shape))
+    sink_cells = np.column_stack(np.unravel_index(sinks, grid.shape))
+    cost = _grid_metric(sink_cells - source_cells[:, None], grid.cell_size, diagonals)
+    sol = solve_transport(cost, net.supply[np.r_[sources, sinks]])
+    pair = np.flatnonzero(sol.arc_flows > 0.0)
+    s, t = np.divmod(pair, sinks.size)
+    edge_flows = _route(
+        grid.shape, diagonals, source_cells[s], sink_cells[t], sol.arc_flows[pair],
+        net.edges.shape[0],
+    )
+    potentials = _grid_potentials(grid, diagonals, sink_cells, sol.potentials[sources.size:])
+    return edge_flows, potentials
+
+
+def _grid_metric(delta, h, diagonals: bool) -> np.ndarray:
+    """Grid-graph distance across the cell offsets `delta` (last axis) on
+    cells of sides `h`.
+
+    On the axis stencil this is ``sum_k |delta_k| h_k``.  With diagonals the
+    shortest path is greedy: with the axes in increasing order of
+    ``|delta_k|``, the first ``min_k |delta_k|`` steps move along every axis,
+    the next steps along every axis but the first, and so on, and a step
+    along the axes S costs ``sqrt(sum_{k in S} h_k**2)``.  This covers the
+    4-, 8-, 6- and 26-neighbour stencils and anisotropic cells.
+    """
+    size = np.abs(delta)
+    if not diagonals:
+        return size @ h
+    order = np.argsort(size, axis=-1)
+    size = np.take_along_axis(size, order, axis=-1)
+    # step length once the axes order[..., k:] are the ones still moving
+    step = np.sqrt(np.cumsum(np.square(h)[order][..., ::-1], axis=-1)[..., ::-1])
+    return np.sum(np.diff(size, axis=-1, prepend=0) * step, axis=-1)
+
+
+def _route(shape, diagonals: bool, start, end, amount, n_edges) -> np.ndarray:
+    """Edge flows (positive from an edge's first node to its second) that
+    carry `amount[k]` from cell `start[k]` to cell `end[k]` (multi-indices)
+    along canonical shortest paths, every pair at once.
+
+    Along the path, axis k waits ``wait[k]`` steps, then moves one cell per
+    step toward its end for ``|end_k - start_k|`` steps: with diagonals no
+    axis waits (the greedy path of :func:`_grid_metric`); on the axis stencil
+    each axis waits for the axes before it.
+    """
+    offsets, inside = _grid_steps(shape, diagonals)
+    edge_at = np.cumsum(inside.ravel()).reshape(inside.shape) - 1
+    delta = end - start
+    size, sign = np.abs(delta), np.sign(delta)
+    wait = np.zeros_like(size) if diagonals else np.cumsum(size, axis=1) - size
+    n_steps = np.max(wait + size, axis=1, initial=0)
+    pair = np.repeat(np.arange(amount.size), n_steps)
+    r = np.arange(pair.size) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+    # per step and axis: steps this axis has moved before, and its move now
+    moved = r[:, None] - wait[pair]
+    step = sign[pair] * ((moved >= 0) & (moved < size[pair]))
+    cell = start[pair] + sign[pair] * np.clip(moved, 0, size[pair])
+    # the edge of a step s is (cell, cell + s) when s is a listed offset
+    # (first nonzero entry +1), else (cell + s, cell) traversed backward
+    lead = step[np.arange(pair.size), np.argmax(step != 0, axis=1)]
+    first = np.where((lead > 0)[:, None], cell, cell + step)
+    powers = 3 ** np.arange(len(shape))
+    offset_at = np.zeros(3 ** len(shape), dtype=int)
+    offset_at[(offsets + 1) @ powers] = np.arange(len(offsets))
+    which = offset_at[(lead[:, None] * step + 1) @ powers]
+    edge = edge_at[np.ravel_multi_index(tuple(first.T), shape), which]
+    return np.bincount(edge, weights=lead * amount[pair], minlength=n_edges)
+
+
+def _grid_potentials(grid: Grid, diagonals: bool, sink_cells, v) -> np.ndarray:
+    """The c-transform ``phi(x) = min_t (v_t + d(x, t))`` of the sink
+    potentials `v` over every cell x, with d the grid metric, in blocks of
+    rows whose (cells, sinks, dim) arrays take ``_BLOCK_BYTES`` each."""
+    phi = np.zeros(grid.n_cells)
+    if v.size:
+        rows = max(1, _BLOCK_BYTES // (8 * v.size * grid.dim))
+        for start in range(0, grid.n_cells, rows):
+            block = np.arange(start, min(start + rows, grid.n_cells))
+            cells = np.column_stack(np.unravel_index(block, grid.shape))
+            d = _grid_metric(sink_cells - cells[:, None], grid.cell_size, diagonals)
+            phi[block] = np.min(d + v, axis=1)
+    phi.setflags(write=False)
+    return phi
 
 
 def flow_to_vector_measure(net: FlowNetwork, flow: Flow) -> StructuredVectorMeasure:

@@ -9,7 +9,9 @@ There is one output path.  Every handler, ``_cmd_selftest`` included,
 returns ``(status, output)`` and writes nothing itself: the output is the
 report dict, whose record lists ``_table`` builds from named array columns,
 or the bytes of a csv/svg/ascii body.  ``run`` writes it in one place, with
-``_emit`` for a report and ``_emit_bytes`` for bytes.
+``_emit`` for a report and ``_emit_bytes`` for bytes.  Warnings raised
+while a command runs go into the report's ``warnings`` list, or to stderr
+as ``warning: <message>`` lines when the output is bytes.
 
 At module level this imports only the standard library and ``.errors``.
 Numpy, the document parser and the solver modules are imported inside the
@@ -404,7 +406,12 @@ def run(argv) -> int:
                 doc = load_document(args.document)
                 report = _base_report(args.command, _digest(args.document))
                 status, output = _HANDLERS[args.command](doc, args, report)
-                report["warnings"].extend(str(w.message) for w in caught)
+            messages = [str(w.message) for w in caught]
+            if isinstance(output, bytes):
+                # a csv/svg/ascii body has no place for them
+                sys.stderr.writelines(f"warning: {message}\n" for message in messages)
+            else:
+                report["warnings"].extend(messages)
         if isinstance(output, bytes):
             _emit_bytes(output, args.out)
         else:

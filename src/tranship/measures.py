@@ -14,6 +14,7 @@ degree 8).
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -62,26 +63,43 @@ def _merge_atoms(points, masses):
     """Identify atoms within MERGE_RTOL of the instance diameter; drop zeros.
 
     First fit: an atom joins the first kept atom within the tolerance, and
-    masses are added in input order.
+    masses are added in input order.  Kept atoms are hashed into cells of
+    twice the tolerance, so an atom's candidates are the kept atoms of its
+    own cell and its 3**dim - 1 neighbours, and a cell index rounded across
+    a cell face cannot hide a pair at exactly the tolerance.  A zero (or
+    overflowed) tolerance puts every atom in one cell.
     """
     if len(points) == 0:
         return points, masses
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     tol = MERGE_RTOL * vec_norm(hi - lo)
-    kept_pts = np.empty_like(points)
-    kept_mass = np.empty(len(points))
-    n_kept = 0
-    for p, m in zip(points, masses):
-        near = np.flatnonzero(dists(p, kept_pts[:n_kept]) <= tol)
-        if near.size:
-            kept_mass[near[0]] += m
-        else:
-            kept_pts[n_kept] = p
-            kept_mass[n_kept] = m
-            n_kept += 1
-    nonzero = kept_mass[:n_kept] != 0.0
-    return kept_pts[:n_kept][nonzero], kept_mass[:n_kept][nonzero]
+    if 0.0 < tol < np.inf:
+        cells = np.floor((points - lo) / (2.0 * tol)).astype(np.int64) + 1
+    else:
+        cells = np.ones(points.shape, dtype=np.int64)
+    # a cell's key is its index digits (all >= 1) in a base above every
+    # digit, as a Python int; a neighbour's key is the key plus a shift's
+    place = (int(cells.max()) + 2) ** np.arange(points.shape[1] - 1, -1, -1).astype(object)
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=points.shape[1])))
+    neighbours = (shifts.astype(object) @ place).tolist()
+    kept = []  # input index of each kept atom
+    kept_in = {}  # cell key -> positions in `kept`, ascending
+    joins = np.empty(len(points), dtype=int)  # position in `kept` each atom adds to
+    for a, key in enumerate((cells.astype(object) @ place).tolist()):
+        near = sorted(k for shift in neighbours for k in kept_in.get(key + shift, ()))
+        if near:
+            hit = np.flatnonzero(dists(points[a], points[[kept[k] for k in near]]) <= tol)
+            if hit.size:
+                joins[a] = near[hit[0]]
+                continue
+        joins[a] = len(kept)
+        kept_in.setdefault(key, []).append(len(kept))
+        kept.append(a)
+    # bincount adds each atom's mass in input order, from 0.0
+    kept_mass = np.bincount(joins, weights=masses, minlength=len(kept))
+    nonzero = kept_mass != 0.0
+    return points[kept][nonzero], kept_mass[nonzero]
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,17 @@
 Two solvers run the same phases and share their end (:func:`_advance`):
 
 * :func:`solve_min_cost_flow` takes any directed arc list and serves the
-  graph-flow route (:func:`~tranship.beckmann.solve_beckmann` on grid and
-  complete networks).  Its shortest paths come from
+  graph-flow route: :func:`~tranship.beckmann.solve_beckmann` on complete
+  networks and on networks built by hand.  Its shortest paths come from
   :func:`scipy.sparse.csgraph.dijkstra`.
 * :func:`solve_transport` takes the cost matrix of a complete bipartite
-  graph from sources to sinks and serves the matching route
-  (:func:`~tranship.matchnorm.minimal_connection`).  It needs numpy alone,
-  builds no arc list, and returns the bits :func:`solve_min_cost_flow`
-  returns on the same graph.
+  graph from sources to sinks.  It serves the matching route
+  (:func:`~tranship.matchnorm.minimal_connection`, Euclidean costs) and
+  :func:`~tranship.beckmann.solve_beckmann` on grid networks, whose costs
+  are the grid-graph distances between supply and demand cells (the
+  metric and the path routing are in :mod:`tranship.beckmann`).  It needs
+  numpy alone, builds no arc list, and returns the bits
+  :func:`solve_min_cost_flow` returns on the same graph.
 
 Both work on arcs with nonnegative costs.  Node potentials ``u`` keep every
 residual reduced cost ``cost(i, j) - u[i] + u[j]`` nonnegative.  Each phase

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from tranship import beckmann
 from tranship.beckmann import (
+    Flow,
     FlowNetwork,
+    _grid_metric,
     anisotropy_bound,
     complete_network,
     flow_to_vector_measure,
@@ -14,6 +17,7 @@ from tranship.beckmann import (
 )
 from tranship.errors import InfeasibleFlowError, ValidationError
 from tranship.geom import Domain, dist
+from tranship.mincostflow import solve_min_cost_flow
 from tranship.matchnorm import dual_potential, minimal_connection
 from tranship.measures import (
     NotAMeasure,
@@ -188,6 +192,107 @@ class TestGridNetwork:
         net = grid_network(domain, (2, 2, 2), f)
         flow = solve_beckmann(net)
         assert abs(flow.cost - 0.5) <= 1e-12
+
+
+STENCILS = [(2, False), (2, True), (3, False), (3, True)]  # 4-, 8-, 6-, 26-neighbour
+
+
+def anisotropic_grid(rng, dim, diagonals, n_pairs=6):
+    """A grid network over a seeded box of unequal sides and a seeded
+    balanced measure in it; axes of one cell come up often."""
+    while True:
+        shape = tuple(int(r) for r in rng.integers(1, 8 if dim == 2 else 5, size=dim))
+        if max(shape) >= 2:
+            break
+    upper = rng.uniform(0.2, 3.0, size=dim)
+    pos = rng.uniform(0.2, 1.0, size=n_pairs)
+    neg = rng.uniform(0.2, 1.0, size=n_pairs)
+    neg *= pos.sum() / neg.sum()
+    f = SignedAtomMeasure(rng.uniform(size=(2 * n_pairs, dim)) * upper, np.r_[pos, -neg])
+    return grid_network(Domain(np.zeros(dim), upper), shape, f, diagonals=diagonals)
+
+
+def assert_certified(net, flow):
+    """Node balance, feasibility on every edge, slackness on carrying edges
+    and a closed duality gap."""
+    scale = max(1.0, float(np.sum(np.abs(net.supply))))
+    u, v, (i, j) = flow.potentials, flow.edge_flows, net.edges.T
+    balance = -net.supply + np.bincount(i, v, net.n_nodes) - np.bincount(j, v, net.n_nodes)
+    assert np.max(np.abs(balance)) <= 1e-12 * scale
+    assert np.all(np.abs(u[i] - u[j]) <= net.lengths * (1.0 + 1e-13))
+    carrying = v != 0.0
+    drop = np.where(v > 0.0, u[i] - u[j], u[j] - u[i])[carrying]
+    assert np.all(np.abs(drop - net.lengths[carrying]) <= 1e-13 * net.lengths[carrying] + 1e-15)
+    assert abs(flow.cost - float(net.supply @ u)) <= 1e-12 * scale * max(1.0, flow.cost)
+
+
+class TestGridSolve:
+    @pytest.mark.parametrize("dim, diagonals", STENCILS)
+    def test_metric_equals_dijkstra(self, dim, diagonals):
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import dijkstra
+
+        rng = np.random.default_rng([2023, dim, diagonals])
+        for _ in range(15):
+            net = anisotropic_grid(rng, dim, diagonals)
+            grid, _ = net.grid
+            i, j = net.edges.T
+            graph = csr_array((net.lengths, (i, j)), shape=(net.n_nodes, net.n_nodes))
+            expected = dijkstra(graph, directed=False)
+            cells = np.column_stack(np.unravel_index(np.arange(net.n_nodes), grid.shape))
+            got = _grid_metric(cells - cells[:, None], grid.cell_size, diagonals)
+            assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+
+    @pytest.mark.parametrize("dim, diagonals", STENCILS)
+    def test_agrees_with_the_graph_flow(self, dim, diagonals):
+        rng = np.random.default_rng([2024, dim, diagonals])
+        for _ in range(12):
+            net = anisotropic_grid(rng, dim, diagonals)
+            flow = solve_beckmann(net)
+            # the kept graph-flow route on the same network, both arc directions
+            arcs = np.vstack([net.edges, net.edges[:, ::-1]])
+            costs = np.concatenate([net.lengths, net.lengths])
+            sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
+            m = net.edges.shape[0]
+            edge_flows = sol.arc_flows[:m] - sol.arc_flows[m:]
+            expected = float(np.abs(edge_flows) @ net.lengths)
+            assert abs(flow.cost - expected) <= 1e-13 * expected
+            assert_certified(net, flow)
+            assert_certified(net, Flow(edge_flows, sol.potentials, expected))
+
+    def test_potentials_do_not_depend_on_the_block_size(self, monkeypatch):
+        rng = np.random.default_rng(2025)
+        nets = [anisotropic_grid(rng, dim, diagonals) for dim, diagonals in STENCILS]
+        expected = [solve_beckmann(net).potentials for net in nets]
+        # a budget of one row per block
+        monkeypatch.setattr(beckmann, "_BLOCK_BYTES", 1)
+        for net, want in zip(nets, expected):
+            assert solve_beckmann(net).potentials.tobytes() == want.tobytes()
+
+    def test_edge_cases(self):
+        domain = Domain([0.0, 0.0], [1.0, 0.1])
+        for diagonals in (False, True):
+            # no supply: no flow and zero potentials
+            net = grid_network(domain, (3, 1), SignedAtomMeasure.empty(), diagonals)
+            flow = solve_beckmann(net)
+            assert flow.cost == 0.0
+            assert not np.any(flow.edge_flows) and not np.any(flow.potentials)
+            # atoms cancelling in one cell leave it no supply
+            f = SignedAtomMeasure.from_atoms(
+                [((0.1, 0.05), 0.5), ((0.2, 0.05), -0.5), ((0.5, 0.05), 1.0), ((0.9, 0.05), -1.0)]
+            )
+            net = grid_network(domain, (3, 1), f, diagonals)
+            flow = solve_beckmann(net)
+            assert flow.edge_flows.tolist() == [0.0, 1.0]
+            assert flow.cost == net.lengths[1]
+            assert_certified(net, flow)
+            # one source cell and one sink cell of a 3x1 grid
+            f = SignedAtomMeasure.from_atoms([((0.9, 0.05), 2.0), ((0.1, 0.05), -2.0)])
+            net = grid_network(domain, (3, 1), f, diagonals)
+            flow = solve_beckmann(net)
+            assert flow.edge_flows.tolist() == [-2.0, -2.0]
+            assert flow.cost == 2.0 * net.lengths[0] + 2.0 * net.lengths[1]
+            assert_certified(net, flow)
 
 
 class TestFlowToVectorMeasure:

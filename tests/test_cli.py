@@ -298,6 +298,31 @@ class TestCommands:
             "dipole chain truncated: norm error bound 0.0009765625"
         ]
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "ascii"])
+    def test_byte_outputs_write_warnings_to_stderr(self, tmp_path, capsys, fmt):
+        doc = {
+            "version": 1,
+            "dipoles": {
+                "pairs": [
+                    {"p": [0.0, float(i)], "n": [2.0**-i, float(i)]} for i in range(1, 11)
+                ],
+                "tail": {"ratio": 0.5, "first_term": 1.0},
+            },
+            "options": {"truncation_eps": 0.001},
+        }
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "body"
+        assert run(["density", path, "--grid", "4x4", "--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: dipole chain truncated: norm error bound 0.0009765625\n"
+        )
+        body = out.read_bytes()
+        assert run(["density", path, "--grid", "4x4", "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == body
+        # a JSON report keeps its warnings and writes none to stderr
+        assert run(["connect", path, "--out", str(tmp_path / "report.json")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("fmt", ["svg", "ascii"])
     def test_modulus_rejects_raster_formats(self, tmp_path, capsys, fmt):
         chain = {"version": 1, "dipoles": {"pairs": [{"p": [0, 0], "n": [1, 0]}]}}

@@ -117,14 +117,16 @@ def test_commands_without_solvers_load_no_scipy(tmp_path, doc, args):
     assert result == {"status": 0, "numpy": True, "scipy": []}
 
 
-def test_beckmann_grid_loads_only_csgraph(tmp_path):
-    path = write_doc(tmp_path, PLAN_DOC)
+@pytest.mark.parametrize(
+    "flags", [["--grid", "3x1"], ["--grid", "4x4", "--diagonals"]], ids=["axis", "diagonals"]
+)
+def test_beckmann_grid_loads_no_scipy(tmp_path, flags):
+    # grid networks are solved in their closed-form metric with numpy alone
+    path = write_doc(tmp_path, DISTINCT_DOC)
     out = str(tmp_path / "report.out")
-    result = run_command(["beckmann", path, "--grid", "3x1", "--out", out])
-    assert result["status"] == 0
-    assert "scipy.sparse.csgraph" in result["scipy"]
-    for package in ("scipy.optimize", "scipy.spatial"):
-        assert not loads(result["scipy"], package)
+    result = run_command(["beckmann", path, *flags, "--out", out])
+    assert result == {"status": 0, "numpy": True, "scipy": []}
+    assert report_warnings(out) == []
 
 
 def test_beckmann_complete_graph_loads_only_csgraph(tmp_path):

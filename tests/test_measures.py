@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from tranship.errors import TailBoundError, ValidationError
 from tranship.funcs import Coordinate, Polynomial, polynomial_family
-from tranship.geom import vec_norm
+from tranship.geom import dists, vec_norm
 from tranship.measures import (
+    MERGE_RTOL,
     DipoleChain,
     Distribution,
     NotAMeasure,
@@ -15,6 +16,7 @@ from tranship.measures import (
     SignedAtomMeasure,
     StructuredVectorMeasure,
     divergence_as_measure,
+    _merge_atoms,
     from_dipoles,
     pair,
 )
@@ -164,6 +166,25 @@ class TestCellField:
         assert cells.total_variation == vec_norm(vector) * grid.cell_volume
 
 
+def reference_merge(points, masses):
+    """The first-fit loop: each atom is compared with every kept atom."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    tol = MERGE_RTOL * vec_norm(hi - lo)
+    kept_pts = np.empty_like(points)
+    kept_mass = np.empty(len(points))
+    n_kept = 0
+    for p, m in zip(points, masses):
+        near = np.flatnonzero(dists(p, kept_pts[:n_kept]) <= tol)
+        if near.size:
+            kept_mass[near[0]] += m
+        else:
+            kept_pts[n_kept] = p
+            kept_mass[n_kept] = m
+            n_kept += 1
+    nonzero = kept_mass[:n_kept] != 0.0
+    return kept_pts[:n_kept][nonzero], kept_mass[:n_kept][nonzero]
+
+
 class TestAtomMeasure:
     def test_merging_and_zero_drop(self):
         m = SignedAtomMeasure.from_atoms(
@@ -188,6 +209,30 @@ class TestAtomMeasure:
         )
         assert m.points.tolist() == [list(a), list(c), [10.0, 0.0]]
         assert m.masses.tolist() == [3.0, 4.0, -7.0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_merging_has_the_bits_of_the_first_fit_loop(self, dim):
+        # clusters of atoms spread over a few tolerances around seeded centres,
+        # in random order with repeated and cancelling masses; the unit-box
+        # corners fix the diameter, so the tolerance is known
+        rng = np.random.default_rng([2310, dim])
+        tol = MERGE_RTOL * np.sqrt(dim)
+        for _ in range(40):
+            centres = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 12)), dim))
+            k = int(rng.integers(1, 120))
+            spread = rng.choice([0.0, 0.3, 1.0], size=(k, 1)) * tol
+            pts = centres[rng.integers(0, len(centres), size=k)]
+            pts = pts + rng.uniform(-2.0, 2.0, size=(k, dim)) * spread
+            pts = rng.permutation(np.vstack([np.zeros(dim), np.ones(dim), pts]))
+            masses = rng.choice([1.0, -1.0, 0.5, -0.25, 0.1], size=len(pts))
+            got, want = _merge_atoms(pts, masses), reference_merge(pts, masses)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # a zero tolerance: every point is the same point
+        pts = np.full((5, dim), 0.3)
+        masses = np.array([1.0, 2.0, -3.0, 4.0, 0.1])
+        got, want = _merge_atoms(pts, masses), reference_merge(pts, masses)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got[1].tolist() == [4.1]
 
     def test_exact_cancellation_removes_the_atom(self):
         m = SignedAtomMeasure.from_atoms(
