@@ -24,14 +24,14 @@ solve is:
    greedy: each step moves along every axis that still has cells to cover
    and costs ``sqrt(sum h_k**2)`` over those axes;
 2. that sources-by-sinks transport, by
-   :func:`~tranship.mincostflow.solve_transport`;
+   :func:`~tranship.mincostflow.transport` on the cells' multi-indices;
 3. each flow-carrying pair routed along its canonical shortest path
    (:func:`_route`): on the axis stencil all of axis 0's steps, then axis
    1's, and so on; with diagonals the greedy steps of the metric;
 4. as potentials, the c-transform ``phi(x) = min_t (v_t + d(x, t))`` of the
-   transport's sink potentials ``v`` over every cell
-   (:func:`_grid_potentials`), which is feasible on every edge and tight
-   along every routed path.
+   transport's sink potentials ``v`` over every cell, which ``transport``
+   returns (:func:`~tranship.geom.c_transform`); it is feasible on every
+   edge and tight along every routed path.
 
 Both solvers give the cost as the left-to-right sum of ``|flow| * length``
 over the carrying edges (:func:`~tranship.geom.ordered_sum`).
@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ValidationError
 from .geom import Domain, Grid, dists, ordered_sum
 from .measures import BALANCE_RTOL, SignedAtomMeasure, StructuredVectorMeasure
-from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow, solve_transport
+from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow, transport
 
 __all__ = [
     "FlowNetwork",
@@ -215,11 +215,8 @@ def solve_beckmann(net: FlowNetwork) -> Flow:
     carrying = np.flatnonzero(edge_flows)
     cost = ordered_sum(np.abs(edge_flows[carrying]) * net.lengths[carrying])
     edge_flows.setflags(write=False)
+    potentials.setflags(write=False)
     return Flow(edge_flows=edge_flows, potentials=potentials, cost=cost)
-
-
-# bytes of one (cells, sinks, dim) array in a block of the grid potentials
-_BLOCK_BYTES = 1 << 22
 
 
 def _solve_on_grid(net: FlowNetwork):
@@ -228,19 +225,13 @@ def _solve_on_grid(net: FlowNetwork):
     canonical shortest paths, with the c-transform of the sink potentials
     as node potentials."""
     grid, diagonals = net.grid
-    sources = np.flatnonzero(net.supply > 0.0)
-    sinks = np.flatnonzero(net.supply < 0.0)
-    source_cells = np.column_stack(np.unravel_index(sources, grid.shape))
-    sink_cells = np.column_stack(np.unravel_index(sinks, grid.shape))
-    cost = _grid_metric(sink_cells - source_cells[:, None], grid.cell_size, diagonals)
-    sol = solve_transport(cost, net.supply[np.r_[sources, sinks]])
-    pair = np.flatnonzero(sol.arc_flows > 0.0)
-    s, t = np.divmod(pair, sinks.size)
-    edge_flows = _route(
-        grid.shape, diagonals, source_cells[s], sink_cells[t], sol.arc_flows[pair],
-        net.edges.shape[0],
+    cells = np.column_stack(np.unravel_index(np.arange(grid.n_cells), grid.shape))
+    pairs, flows, _, potentials = transport(
+        cells, net.supply, lambda x, t: _grid_metric(t - x, grid.cell_size, diagonals)
     )
-    potentials = _grid_potentials(grid, diagonals, sink_cells, sol.potentials[sources.size:])
+    edge_flows = _route(
+        grid.shape, diagonals, cells[pairs[:, 0]], cells[pairs[:, 1]], flows, net.edges.shape[0]
+    )
     return edge_flows, potentials
 
 
@@ -297,22 +288,6 @@ def _route(shape, diagonals: bool, start, end, amount, n_edges) -> np.ndarray:
     which = offset_at[(lead[:, None] * step + 1) @ powers]
     edge = edge_at[np.ravel_multi_index(tuple(first.T), shape), which]
     return np.bincount(edge, weights=lead * amount[pair], minlength=n_edges)
-
-
-def _grid_potentials(grid: Grid, diagonals: bool, sink_cells, v) -> np.ndarray:
-    """The c-transform ``phi(x) = min_t (v_t + d(x, t))`` of the sink
-    potentials `v` over every cell x, with d the grid metric, in blocks of
-    rows whose (cells, sinks, dim) arrays take ``_BLOCK_BYTES`` each."""
-    phi = np.zeros(grid.n_cells)
-    if v.size:
-        rows = max(1, _BLOCK_BYTES // (8 * v.size * grid.dim))
-        for start in range(0, grid.n_cells, rows):
-            block = np.arange(start, min(start + rows, grid.n_cells))
-            cells = np.column_stack(np.unravel_index(block, grid.shape))
-            d = _grid_metric(sink_cells - cells[:, None], grid.cell_size, diagonals)
-            phi[block] = np.min(d + v, axis=1)
-    phi.setflags(write=False)
-    return phi
 
 
 def flow_to_vector_measure(net: FlowNetwork, flow: Flow) -> StructuredVectorMeasure:

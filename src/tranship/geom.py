@@ -13,6 +13,7 @@ too: a point lies in a :class:`Domain` when it is inside the box padded by
 and cell-field resampling all check through :meth:`Domain.require_inside`
 (:meth:`Domain.contains` is its boolean form), so whatever a document
 accepts a grid accepts too, binned into the boundary cell.
+:func:`c_transform` is the one c-transform, computed in row blocks.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ GEOMETRY_RTOL = 1e-12
 __all__ = [
     "GEOMETRY_RTOL",
     "as_point",
+    "c_transform",
     "dist",
     "dists",
     "ordered_sum",
@@ -75,6 +77,25 @@ def dists(a, b) -> np.ndarray:
 def dist(a, b) -> float:
     """Euclidean distance between two points: the scalar case of :func:`dists`."""
     return float(dists(a, b))
+
+
+# bytes of one (rows, sinks, dim) array in a block of :func:`c_transform`
+_BLOCK_BYTES = 1 << 22
+
+
+def c_transform(points, sinks, values, metric=dists) -> np.ndarray:
+    """``phi(x) = min_t (values_t + metric(x, t))`` at the rows x of `points`
+    over the rows t of `sinks` (0 when there are none), with `metric`
+    broadcasting like :func:`dists`.  Rows are computed in blocks whose
+    (rows, sinks, dim) arrays take ``_BLOCK_BYTES``; each row on its own, so
+    the block size cannot change the bits."""
+    phi = np.zeros(len(points))
+    if len(sinks):
+        rows = max(1, _BLOCK_BYTES // (8 * sinks.size))
+        for start in range(0, len(points), rows):
+            block = points[start : start + rows]
+            phi[start : start + rows] = np.min(metric(block[:, None], sinks[None]) + values, axis=1)
+    return phi
 
 
 def ordered_sum(terms) -> float:

@@ -4,9 +4,9 @@ Lipschitz potential, and the flat norm with its bounded-potential variant.
 Three independent routes to the same value:
 
 * :func:`minimal_connection` -- primal transport, one min-cost flow on the
-  complete bipartite graph for every mass pattern
-  (:func:`~tranship.mincostflow.solve_transport`, numpy only), certified by
-  the c-transform of the flow's sink potentials,
+  complete bipartite graph for every mass pattern at Euclidean costs
+  (:func:`~tranship.mincostflow.transport`, numpy only), certified by the
+  c-transform of the flow's sink potentials,
 * :func:`dual_potential` -- the finite dual LP: maximize the pairing over
   potentials with u_i - u_j <= |x_i - x_j| on every ordered support pair,
 * :func:`brute_force_connection` -- exhaustive matching oracle for tiny
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import TranshipError, ValidationError
 from .geom import dists, ordered_sum
 from .measures import SignedAtomMeasure
-from .mincostflow import solve_transport
+from .mincostflow import transport
 
 __all__ = [
     "Matching",
@@ -117,35 +117,15 @@ def minimal_connection(f: SignedAtomMeasure) -> Matching:
     ordered lexicographically by (source, target) atom index.  The cost sums
     mass * distance over the edges in that order
     (:func:`~tranship.geom.ordered_sum`) and equals the Kantorovich norm of
-    `f`.  The potential is the c-transform of the flow's sink potentials.
+    `f`.  The potential, the c-transform of the flow's sink potentials shifted
+    to minimum 0, is 1-Lipschitz and tight on every edge: it certifies the cost.
     """
     f.require_balanced()
-    pos = np.flatnonzero(f.masses > 0)
-    neg = np.flatnonzero(f.masses < 0)
-    if pos.size == 0:  # balanced, so there are no atoms at all
-        empty = _read_only(np.zeros(0))
-        return Matching(f.points, _read_only(np.zeros((0, 2), dtype=int)), empty, 0.0, empty)
-
-    d = dists(f.points[pos][:, None], f.points[neg][None])
-    sol = solve_transport(d, f.masses[np.r_[pos, neg]])
-    carrying = np.flatnonzero(sol.arc_flows > 0.0)
-    src, dst = np.divmod(carrying, len(neg))
-    edges = _read_only(np.column_stack([pos[src], neg[dst]]))
-    masses = _read_only(sol.arc_flows[carrying])
-    potential = _c_transform(f.points, f.points[neg], sol.potentials[len(pos):])
-    return Matching(f.points, edges, masses, ordered_sum(masses * d.ravel()[carrying]), potential)
-
-
-def _c_transform(points, sinks, sink_values):
-    """phi(x) = min_t (v_t + |x - t|) at `points`, shifted to minimum 0.
-
-    A minimum of 1-Lipschitz cones is 1-Lipschitz, so sum(m phi) is a lower
-    bound on the transport cost (weak duality).  With the flow's potentials
-    (v_s - v_t <= |s - t|, equality on flow-carrying arcs) phi equals them at
-    every atom the flow passes through, so the bound reaches the cost.
-    """
-    phi = np.min(sink_values[None] + dists(points[:, None], sinks[None]), axis=1)
-    return _read_only(phi - phi.min())
+    edges, masses, costs, phi = transport(f.points, f.masses)
+    # shifted to minimum 0; the initial inf leaves an empty potential empty
+    potential = phi - np.min(phi, initial=np.inf)
+    cost = ordered_sum(masses * costs)
+    return Matching(f.points, _read_only(edges), _read_only(masses), cost, _read_only(potential))
 
 
 def _read_only(values):

@@ -66,15 +66,20 @@ def _merge_atoms(points, masses):
     masses are added in input order.  Kept atoms are hashed into cells of
     twice the tolerance, so an atom's candidates are the kept atoms of its
     own cell and its 3**dim - 1 neighbours, and a cell index rounded across
-    a cell face cannot hide a pair at exactly the tolerance.  A zero (or
-    overflowed) tolerance puts every atom in one cell.
+    a cell face cannot hide a pair at exactly the tolerance.  A zero
+    tolerance puts every atom in one cell.
     """
     if len(points) == 0:
         return points, masses
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    tol = MERGE_RTOL * vec_norm(hi - lo)
-    if 0.0 < tol < np.inf:
+    diameter = vec_norm(hi - lo)
+    if not np.isfinite(diameter):
+        raise ValidationError(
+            "atoms lie too far apart: the diagonal of their bounding box overflows"
+        )
+    tol = MERGE_RTOL * diameter
+    if tol > 0.0:
         cells = np.floor((points - lo) / (2.0 * tol)).astype(np.int64) + 1
     else:
         cells = np.ones(points.shape, dtype=np.int64)
@@ -302,6 +307,11 @@ class StructuredVectorMeasure:
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("vector measure data must be finite")
             arr.setflags(write=False)
+        # a norm that overflows would make the total variation infinite and
+        # segment_projection take a normal density for a parallel one
+        norms = dists(sd, 0.0)
+        if not (np.all(np.isfinite(dists(av, 0.0))) and np.all(np.isfinite(norms))):
+            raise ValidationError("vector measure vectors must have finite norms")
         if self.cells is not None and self.cells.grid.dim != dim:
             raise ValidationError("cell field dimension mismatch")
         object.__setattr__(self, "dim", dim)
@@ -315,10 +325,11 @@ class StructuredVectorMeasure:
         object.__setattr__(self, "_lengths", lengths)
         if np.any(lengths == 0.0):
             raise ValidationError("segments must have positive length")
+        if not np.all(np.isfinite(lengths)):
+            raise ValidationError("segment lengths must be finite")
         if self.validate and len(sa) > 1:
             tol = OVERLAP_RTOL * max(float(np.max(lengths)), 1.0)
             units = (sb - sa) / lengths[:, None]
-            norms = dists(sd, 0.0)
             for i in range(len(sa) - 1):
                 # the segments j > i parallel to i, then the array form of
                 # the scalar tests: same line, overlap length, alignment

@@ -7,13 +7,14 @@ Two solvers run the same phases and share their end (:func:`_advance`):
   networks and on networks built by hand.  Its shortest paths come from
   :func:`scipy.sparse.csgraph.dijkstra`.
 * :func:`solve_transport` takes the cost matrix of a complete bipartite
-  graph from sources to sinks.  It serves the matching route
-  (:func:`~tranship.matchnorm.minimal_connection`, Euclidean costs) and
-  :func:`~tranship.beckmann.solve_beckmann` on grid networks, whose costs
-  are the grid-graph distances between supply and demand cells (the
-  metric and the path routing are in :mod:`tranship.beckmann`).  It needs
-  numpy alone, builds no arc list, and returns the bits
-  :func:`solve_min_cost_flow` returns on the same graph.
+  graph from sources to sinks.  It needs numpy alone, builds no arc list,
+  and returns the bits :func:`solve_min_cost_flow` returns on the same
+  graph.  :func:`transport` builds that matrix from a point set and a
+  metric and adds the c-transform certificate.  It serves the matching
+  route (:func:`~tranship.matchnorm.minimal_connection`, Euclidean costs)
+  and :func:`~tranship.beckmann.solve_beckmann` on grid networks, whose
+  costs are the grid-graph distances between supply and demand cells (the
+  metric and the path routing are in :mod:`tranship.beckmann`).
 
 Both work on arcs with nonnegative costs.  Node potentials ``u`` keep every
 residual reduced cost ``cost(i, j) - u[i] + u[j]`` nonnegative.  Each phase
@@ -43,8 +44,7 @@ the potentials are written out rather than delegated: the certificates are
 part of the public contract.
 
 :mod:`scipy.sparse.csgraph` is imported inside :func:`solve_min_cost_flow`,
-so importing this module, or calling :func:`solve_transport`, loads no
-scipy.
+so importing this module, or calling :func:`transport`, loads no scipy.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleFlowError, ValidationError, VerificationError
+from .geom import c_transform, dists
 
-__all__ = ["FlowSolution", "solve_min_cost_flow", "solve_transport"]
+__all__ = ["FlowSolution", "solve_min_cost_flow", "solve_transport", "transport"]
 
 _MAX_AUGMENTATIONS_FACTOR = 16
 # supply or excess at most this times the supplies' total magnitude counts as 0
@@ -249,6 +250,25 @@ def solve_transport(cost, supply) -> FlowSolution:
     arc_flow.setflags(write=False)
     potential.setflags(write=False)
     return FlowSolution(arc_flows=arc_flow, potentials=potential)
+
+
+def transport(points, supply, metric=dists):
+    """Min-cost transport from the ``(n, dim)`` `points` of positive `supply`
+    to those of negative supply at costs ``metric(x, t)``, which broadcasts
+    like :func:`~tranship.geom.dists`.  Returns ``(pairs, flows, costs,
+    phi)``: the point indices (source, sink) of the flow-carrying pairs,
+    source-major, the flow and the cost of each, and the c-transform of the
+    sink potentials at every point (:func:`~tranship.geom.c_transform`),
+    which for a metric is 1-Lipschitz and tight on every pair."""
+    pos = np.flatnonzero(supply > 0.0)
+    neg = np.flatnonzero(supply < 0.0)
+    cost = metric(points[pos][:, None], points[neg][None])
+    sol = solve_transport(cost, supply[np.r_[pos, neg]])
+    carrying = np.flatnonzero(sol.arc_flows > 0.0)
+    src, dst = np.divmod(carrying, neg.size)
+    pairs = np.column_stack([pos[src], neg[dst]])
+    phi = c_transform(points, points[neg], sol.potentials[pos.size :], metric)
+    return pairs, sol.arc_flows[carrying], cost.ravel()[carrying], phi
 
 
 def _bipartite_dijkstra(reduced, carrying, cancel_cost, roots):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tranship import beckmann
+from tranship import geom
 from tranship.beckmann import (
     Flow,
     FlowNetwork,
@@ -263,11 +263,14 @@ class TestGridSolve:
     def test_potentials_do_not_depend_on_the_block_size(self, monkeypatch):
         rng = np.random.default_rng(2025)
         nets = [anisotropic_grid(rng, dim, diagonals) for dim, diagonals in STENCILS]
-        expected = [solve_beckmann(net).potentials for net in nets]
+        atoms = random_balanced_measure(rng, max_pairs=40)
+        solves = [lambda net=net: solve_beckmann(net).potentials for net in nets]
+        solves.append(lambda: minimal_connection(atoms).potential)
+        expected = [solve() for solve in solves]
         # a budget of one row per block
-        monkeypatch.setattr(beckmann, "_BLOCK_BYTES", 1)
-        for net, want in zip(nets, expected):
-            assert solve_beckmann(net).potentials.tobytes() == want.tobytes()
+        monkeypatch.setattr(geom, "_BLOCK_BYTES", 1)
+        for solve, want in zip(solves, expected):
+            assert solve().tobytes() == want.tobytes()
 
     def test_edge_cases(self):
         domain = Domain([0.0, 0.0], [1.0, 0.1])

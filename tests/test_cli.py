@@ -463,6 +463,31 @@ class TestCommands:
             f"validation error: {field}: expected a finite number, got {value}\n"
         )
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("connect", {"version": 1, "atoms": [{"point": [0.0, 0.0], "mass": 1.0},
+                                             {"point": [1e160, 0.0], "mass": -1.0}]},
+         "atoms lie too far apart: the diagonal of their bounding box overflows"),
+        ("connect", {"version": 1, "atoms": [{"point": [1e200, 0.0], "mass": 1.0},
+                                             {"point": [-1e200, 0.0], "mass": -1.0},
+                                             {"point": [0.0, 1.0], "mass": 2.0},
+                                             {"point": [0.0, 3.0], "mass": -2.0}]},
+         "atoms lie too far apart: the diagonal of their bounding box overflows"),
+        ("decompose", {"version": 1, "segments": [{"a": [0.0, 0.0], "b": [1.0, 0.0],
+                                                   "density": [0.0, 1e200]}]},
+         "vector measure vectors must have finite norms"),
+        ("decompose", {"version": 1, "vector_atoms": [{"point": [0.0, 0.0],
+                                                       "vector": [1e200, 1e200]}]},
+         "vector measure vectors must have finite norms"),
+        ("decompose", {"version": 1, "segments": [{"a": [0.0, 0.0], "b": [1e200, 1e200],
+                                                   "density": [1.0, 1.0]}]},
+         "segment lengths must be finite"),
+    ], ids=["atom-dipole", "atom-four", "segment-density", "vector-atom", "segment-length"])
+    def test_overflowing_norms_are_validation_errors(self, tmp_path, capsys, command, doc,
+                                                     message):
+        # every number is finite, but a distance or a norm overflows
+        assert run([command, write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
     @pytest.mark.parametrize("vectors, message", [
         ([[True, False]], "cells.vectors[0][0]: expected a number, got True"),
         ([[1.0]], "cells.vectors[0]: expected a list of 2 numbers"),

@@ -8,8 +8,8 @@ from tranship import mincostflow
 from tranship.beckmann import complete_network, grid_network, solve_beckmann
 from tranship.cli import run
 from tranship.errors import InfeasibleFlowError, ValidationError, VerificationError
-from tranship.geom import Domain, dists, ordered_sum
-from tranship.matchnorm import _c_transform, dual_potential, minimal_connection
+from tranship.geom import Domain, c_transform, dists, ordered_sum
+from tranship.matchnorm import dual_potential, minimal_connection
 from tranship.measures import SignedAtomMeasure, StructuredVectorMeasure, divergence_as_measure
 from tranship.mincostflow import solve_min_cost_flow, solve_transport
 from tranship.testing import random_balanced_measure
@@ -247,7 +247,8 @@ def arc_list_connection(f):
     sol = solve_min_cost_flow(len(pos) + len(neg), arcs, d.ravel(), f.masses[np.r_[pos, neg]])
     carrying = np.flatnonzero(sol.arc_flows > 0.0)
     masses = sol.arc_flows[carrying]
-    potential = _c_transform(f.points, f.points[neg], sol.potentials[len(pos):])
+    phi = c_transform(f.points, f.points[neg], sol.potentials[len(pos):])
+    potential = phi - phi.min()
     edges = np.column_stack([pos[src[carrying]], neg[dst[carrying]]])
     return edges, masses, ordered_sum(masses * d.ravel()[carrying]), potential
 
