@@ -26,6 +26,8 @@ median.  Cases:
   128² with diagonals and 256² grids over 36 atoms in the unit box and a
   32³ grid with diagonals (the 26-neighbour stencil) over 36 atoms in the
   unit cube (the network is built outside the timed call);
+* ``rasterize_vector_measure`` of a seeded cell field (standard normal
+  vectors) onto a grid of the same shape on the unit box, at 256² and 32³;
 * the CLI report path at scale: ``tranship beckmann --grid 256x256`` over the
   36-atom instance and ``tranship connect`` at 800 atoms, each through
   ``tranship.cli.run`` with ``--out`` into a temporary directory.  Each of
@@ -67,9 +69,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
 from tranship import beckmann, cli, matchnorm  # noqa: E402
+from tranship.density import rasterize_vector_measure  # noqa: E402
 from tranship.document import load_document  # noqa: E402
-from tranship.geom import Domain  # noqa: E402
-from tranship.measures import SignedAtomMeasure  # noqa: E402
+from tranship.geom import Domain, Grid  # noqa: E402
+from tranship.measures import CellField, SignedAtomMeasure, StructuredVectorMeasure  # noqa: E402
 
 LP_SIZES = (100, 160, 400, 800)
 FLOW_SIZES = (100, 200, 400, 800, 1200)
@@ -78,6 +81,8 @@ UNIT_FLOW_SIZE = 800
 GRIDS = (((64, 64), False), ((128, 128), True), ((256, 256), False), ((32, 32, 32), True))
 GRID_ATOMS = 36
 COMPLETE_SIZES = (100, 200)
+# shapes of the rasterized cell fields, each onto a grid of its own shape
+CELL_FIELDS = ((256, 256), (32, 32, 32))
 # command line -> atoms in its document
 CLI_CASES = (("beckmann --grid 256x256", GRID_ATOMS), ("connect", 800))
 LOAD_ATOMS = 2000
@@ -260,6 +265,20 @@ def flow_cases(seed: int, repeats: int):
                "times_s": times, "value": flow.cost}
 
 
+def raster_cases(seed: int, repeats: int):
+    for shape in CELL_FIELDS:
+        dim = len(shape)
+        grid = Grid(Domain(np.zeros(dim), np.ones(dim)), shape)
+        vectors = np.random.default_rng([seed, *shape]).normal(size=(grid.n_cells, dim))
+        empty = np.zeros((0, dim))
+        nu = StructuredVectorMeasure(
+            dim, empty, empty, empty, empty, empty, cells=CellField(grid, vectors)
+        )
+        median, times, density = timed(lambda: rasterize_vector_measure(nu, grid), repeats)
+        yield {"case": "rasterize_vector_measure", "cells": "x".join(map(str, shape)),
+               "time_s": median, "times_s": times, "value": density.total}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=3, help="timed runs per case")
@@ -284,6 +303,7 @@ def main(argv=None) -> int:
     cases += child_cases(args.seed, args.repeats)
     cases += load_cases(args.seed, args.repeats)
     cases += flow_cases(args.seed, args.repeats)
+    cases += raster_cases(args.seed, args.repeats)
     result = {
         "seed": args.seed,
         "repeats": args.repeats,

@@ -7,10 +7,11 @@ with ``--out``, and prints one line per job:
 
     workload job exit sha256(out) sha256(stderr) warnings
 
-Six lines of workload ``pairing`` follow, for documents seeded here from
+Eight lines of workload ``pairing`` follow, for documents seeded here from
 ``--seed`` and ``--variant`` (see :func:`pairing_documents`): they reach
-test functions, cell fields, 3-d pairings, a 3-d plan raster, a cell-field
-raster and a 3-d modulus spot-check, which no benchmark document does.
+test functions, cell fields, 3-d pairings, a 3-d plan raster, cell-field
+rasters with and without vector atoms and a 3-d modulus spot-check, which no
+benchmark document does.
 
 ``-`` stands for a job that wrote no output file; ``warnings`` is the length
 of a JSON report's ``warnings`` list, or ``-`` for any other output.  The
@@ -168,20 +169,43 @@ def _dipole_3d_document(rng, n_pairs=12) -> dict:
     return {"version": 1, "dipoles": {"pairs": pairs, "tail": tail}, "options": {"eps": [0.3, 0.02, 1e-4]}}
 
 
+def _cells_3d_document(rng) -> dict:
+    """A 3-d cell field and nothing else, on a box offset inside the unit
+    cube whose cells are coarser than a 6x5x4 grid's, with zero cells."""
+    lower = rng.uniform(0.0, 0.2, size=3)
+    upper = lower + rng.uniform(0.6, 0.8, size=3)
+    resolution = (3, 2, 2)
+    vectors = rng.normal(size=(int(np.prod(resolution)), 3))
+    vectors[::4] = 0.0
+    return {
+        "version": 1,
+        "domain": {"lower": [0.0] * 3, "upper": [1.0] * 3},
+        "cells": {
+            "resolution": list(resolution),
+            "vectors": _rows(vectors),
+            "domain": {"lower": _rows(lower), "upper": _rows(upper)},
+        },
+    }
+
+
 def pairing_documents(seed: int, variant: int) -> dict:
     """``name -> (command, document, flags)`` for the paths the benchmark's
     documents leave out: pairings against coordinate, polynomial and radial
     bump test functions, cell fields and 3-d geometry, including the
     rasterized 3-d plan and a 3-d modulus.  ``raster-cells`` rasterizes the
     2-d document without its plan, so the vector atoms, segments and cell
-    field are rasterized themselves.  Every job exits 0 with no report
-    warnings."""
+    field are rasterized themselves; ``raster-cells-only`` drops its vector
+    atoms too, and ``raster-cells-only-3d`` rasterizes a 3-d cell field
+    alone.  Every job exits 0 with no report warnings."""
     def rng_for(name):
         return np.random.default_rng([seed, variant, zlib.crc32(name.encode())])
 
     functions_2d = _plan_check_document(rng_for("functions-2d"), 2)
     functions_3d = _plan_check_document(rng_for("functions-3d"), 3)
     without_plan = {key: value for key, value in functions_2d.items() if key != "plan"}
+    cells_and_segments = {
+        key: value for key, value in without_plan.items() if key != "vector_atoms"
+    }
     return {
         "functions-2d": ("plan-check", functions_2d, []),
         "functions-3d": ("plan-check", functions_3d, []),
@@ -189,6 +213,12 @@ def pairing_documents(seed: int, variant: int) -> dict:
         "dipoles-3d": ("modulus", _dipole_3d_document(rng_for("dipoles-3d")), ["--format", "json"]),
         "raster-3d": ("density", functions_3d, ["--grid", "4x4x4", "--format", "csv"]),
         "raster-cells": ("density", without_plan, ["--grid", "12x8", "--format", "csv"]),
+        "raster-cells-only": ("density", cells_and_segments, ["--grid", "12x8", "--format", "csv"]),
+        "raster-cells-only-3d": (
+            "density",
+            _cells_3d_document(rng_for("cells-3d")),
+            ["--grid", "6x5x4", "--format", "csv"],
+        ),
     }
 
 

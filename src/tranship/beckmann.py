@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geom import Domain, Grid, dists, ordered_sum
+from .geom import Domain, Grid, bin_sums, dists, ordered_sum
 from .measures import BALANCE_RTOL, SignedAtomMeasure, StructuredVectorMeasure
 from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow, transport
 
@@ -175,7 +175,7 @@ def grid_network(
     grid = Grid(domain, resolution)
     centers = grid.centers()
     domain.require_inside(f.points, "atom at {} lies outside the grid domain")
-    supply = np.bincount(grid.cell_indices(f.points), weights=f.masses, minlength=grid.n_cells)
+    supply = bin_sums(grid.cell_indices(f.points), f.masses, grid.n_cells)
     supply[np.abs(supply) <= ZERO_SUPPLY_RTOL * f.mass_scale] = 0.0
     offsets, inside = _grid_steps(resolution, diagonals)
     i, step = np.nonzero(inside)
@@ -287,7 +287,7 @@ def _route(shape, diagonals: bool, start, end, amount, n_edges) -> np.ndarray:
     offset_at[(offsets + 1) @ powers] = np.arange(len(offsets))
     which = offset_at[(lead[:, None] * step + 1) @ powers]
     edge = edge_at[np.ravel_multi_index(tuple(first.T), shape), which]
-    return np.bincount(edge, weights=lead * amount[pair], minlength=n_edges)
+    return bin_sums(edge, lead * amount[pair], n_edges)
 
 
 def flow_to_vector_measure(net: FlowNetwork, flow: Flow) -> StructuredVectorMeasure:

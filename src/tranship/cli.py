@@ -251,7 +251,6 @@ def _cmd_density(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | 
     """Rasterize, in order of precedence: the document's plan, its vector
     measure, or the optimal matching of its atoms."""
     from . import density as dens
-    from . import matchnorm as mn
     from .genplan import to_vector_measure
     from .geom import Grid
 
@@ -266,6 +265,8 @@ def _cmd_density(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | 
     elif not doc.vector_measure.is_empty:
         result = dens.rasterize_vector_measure(doc.vector_measure, grid)
     else:
+        from . import matchnorm as mn
+
         f = doc.atom_distribution().measure_part
         matching = mn.minimal_connection(f)
         result = dens.rasterize_plan(matching, grid)

@@ -4,21 +4,25 @@ The transport density of a matching is the superposition of arc-length
 measures along its transport segments; rasterization clips the segments
 against the grid analytically, so total mass equals transport cost up to
 roundoff.  One :func:`~tranship.geom.segment_cell_intervals` call cuts all
-segments and one ``np.bincount`` adds the pieces in segment order; points go
-through :meth:`~tranship.geom.Grid.cell_indices`, the one binning rule.
+segments and one :func:`~tranship.geom.bin_sums` adds the pieces in segment
+order; points go through :meth:`~tranship.geom.Grid.cell_indices`, the one
+binning rule.  Cell fields are resampled in one array pass; sums are float64.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .geom import Grid, dists, segment_cell_intervals, vec_norm
-from .matchnorm import Matching
+from .geom import Grid, bin_sums, dists, segment_cell_intervals
 from .measures import StructuredVectorMeasure
+
+if TYPE_CHECKING:
+    from .matchnorm import Matching
 
 __all__ = ["Grid", "GridDensity", "rasterize_plan", "rasterize_vector_measure", "export"]
 
@@ -53,7 +57,7 @@ def _segment_masses(grid: Grid, a, b, masses) -> np.ndarray:
     """Spread masses[i] over the cells crossed by [a[i], b[i]], by length
     fraction, adding the pieces in segment order."""
     segment, flat, frac = segment_cell_intervals(grid, a, b)
-    return np.bincount(flat, weights=masses[segment] * frac, minlength=grid.n_cells)
+    return bin_sums(flat, masses[segment] * frac, grid.n_cells)
 
 
 def rasterize_plan(matching: Matching, grid: Grid) -> GridDensity:
@@ -72,9 +76,10 @@ def rasterize_vector_measure(nu: StructuredVectorMeasure, grid: Grid) -> GridDen
 
     Segments deposit |density| * length by clipping, atoms deposit |vector|
     into their containing cell, and cell fields are resampled onto the target
-    grid by overlap volume (they must not be finer than the target grid).
-    Atoms and cells accumulate in a separate tail that is added to the
-    segment sums at the end, which fixes how the cell totals are rounded.
+    grid by overlap volume (they must not be finer than the target grid), in
+    one array pass.  Atoms and cells accumulate in a separate float64 tail
+    that is added to the segment sums at the end, which fixes how the cell
+    totals are rounded; the total is the total variation up to roundoff.
     """
     if nu.cells is not None:
         src = nu.cells.grid
@@ -85,47 +90,41 @@ def rasterize_vector_measure(nu: StructuredVectorMeasure, grid: Grid) -> GridDen
     acc = _segment_masses(grid, nu.seg_a, nu.seg_b, masses)
     grid.domain.require_inside(nu.atom_points, "vector atom at {} outside the grid domain")
     atom_cells = grid.cell_indices(nu.atom_points)
-    tail = np.bincount(atom_cells, weights=dists(nu.atom_vectors, 0.0), minlength=grid.n_cells)
+    tail = bin_sums(atom_cells, dists(nu.atom_vectors, 0.0), grid.n_cells)
     if nu.cells is not None:
         _resample_cells(tail, nu, grid)
     return GridDensity(grid=grid, masses=acc + tail)
 
 
 def _resample_cells(acc: np.ndarray, nu: StructuredVectorMeasure, grid: Grid):
+    """Add |vector| * overlap volume of every nonzero source cell onto `acc`,
+    source cells in C order, and each cell's target cells in C order."""
     src = nu.cells.grid
     grid.domain.require_inside(
         np.vstack([src.domain.lower, src.domain.upper]),
         "cell field extends outside the target grid domain",
     )
-    for flat in range(src.n_cells):
-        vector = nu.cells.vectors[flat]
-        norm = vec_norm(vector)
-        if norm == 0.0:
-            continue
-        multi = np.unravel_index(flat, src.shape)
-        lo = src.domain.lower + np.asarray(multi, dtype=float) * src.cell_size
-        hi = lo + src.cell_size
-        # axis-wise overlap lengths with the target cells
-        axis_weights = []
-        axis_indices = []
-        for k in range(grid.dim):
-            cell = grid.cell_size[k]
-            base = grid.domain.lower[k]
-            i0 = max(0, int(np.floor((lo[k] - base) / cell)))
-            i1 = min(grid.shape[k] - 1, int(np.ceil((hi[k] - base) / cell)) - 1)
-            idx = np.arange(i0, i1 + 1)
-            left = np.maximum(lo[k], base + idx * cell)
-            right = np.minimum(hi[k], base + (idx + 1) * cell)
-            w = np.maximum(right - left, 0.0)
-            keep = w > 0.0
-            axis_indices.append(idx[keep])
-            axis_weights.append(w[keep])
-        vol = axis_weights[0]
-        for k in range(1, grid.dim):
-            vol = np.multiply.outer(vol, axis_weights[k])
-        mesh = np.meshgrid(*axis_indices, indexing="ij")
-        flat_targets = np.ravel_multi_index([m.ravel() for m in mesh], grid.shape)
-        np.add.at(acc, flat_targets, norm * vol.ravel())
+    norms = dists(nu.cells.vectors, 0.0)
+    cells = np.flatnonzero(norms)
+    # per nonzero cell and target cell (one array axis per grid axis): the
+    # overlap volume and the target's flat index
+    vol, target = np.ones(cells.size), np.zeros(cells.size, dtype=int)
+    for k, j in enumerate(np.unravel_index(cells, src.shape)):
+        # per source interval, the target cells from floor(lo) to ceil(hi) - 1
+        cell, base = grid.cell_size[k], grid.domain.lower[k]
+        lo = src.domain.lower[k] + np.arange(src.shape[k]) * src.cell_size[k]
+        hi = lo + src.cell_size[k]
+        i0 = np.maximum(0, np.floor((lo - base) / cell).astype(int))
+        i1 = np.minimum(grid.shape[k] - 1, np.ceil((hi - base) / cell).astype(int) - 1)
+        idx = i0[:, None] + np.arange(np.max(i1 - i0, initial=0) + 1)
+        left = np.maximum(lo[:, None], base + idx * cell)
+        right = np.minimum(hi[:, None], base + (idx + 1) * cell)
+        w = np.maximum(right - left, 0.0) * (idx <= i1[:, None])
+        shape = (cells.size,) + (1,) * k + idx.shape[1:]
+        vol = vol[..., None] * w[j].reshape(shape)
+        target = target[..., None] * grid.shape[k] + idx[j].reshape(shape)
+    hit = vol > 0.0  # a zero volume would add nothing
+    np.add.at(acc, target[hit], (norms[cells] * vol.T).T[hit])
 
 
 def check_format(fmt: str, dim: int):

@@ -11,15 +11,17 @@ columns, one row per atom, like :class:`~tranship.matchnorm.Matching`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .funcs import TestFunction
 from .geom import dists, ordered_sum, segment_quadrature, vec_norm
-from .matchnorm import Matching
 from .measures import Distribution, StructuredVectorMeasure, pair
+
+if TYPE_CHECKING:
+    from .matchnorm import Matching
 
 __all__ = [
     "PlanAtom",

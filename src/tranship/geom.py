@@ -13,7 +13,10 @@ too: a point lies in a :class:`Domain` when it is inside the box padded by
 and cell-field resampling all check through :meth:`Domain.require_inside`
 (:meth:`Domain.contains` is its boolean form), so whatever a document
 accepts a grid accepts too, binned into the boundary cell.
-:func:`c_transform` is the one c-transform, computed in row blocks.
+:func:`bin_sums` is the one binned sum, always float64.  :func:`row_blocks`
+splits a row-wise kernel into blocks of ``_BLOCK_BYTES``; :func:`c_transform`,
+the one c-transform, and the cell pairing of :func:`~tranship.measures.pair`
+run through it.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ GEOMETRY_RTOL = 1e-12
 __all__ = [
     "GEOMETRY_RTOL",
     "as_point",
+    "bin_sums",
     "c_transform",
     "dist",
     "dists",
     "ordered_sum",
+    "row_blocks",
     "vec_norm",
     "Domain",
     "Grid",
@@ -79,23 +84,35 @@ def dist(a, b) -> float:
     return float(dists(a, b))
 
 
-# bytes of one (rows, sinks, dim) array in a block of :func:`c_transform`
+# bytes of the arrays of one block of a row-wise kernel (:func:`row_blocks`)
 _BLOCK_BYTES = 1 << 22
+
+
+def row_blocks(n_rows: int, row_bytes: int):
+    """Slices covering ``range(n_rows)`` in order, each of as many rows as
+    fit in ``_BLOCK_BYTES`` at `row_bytes` per row (at least one).  A kernel
+    that computes each row on its own keeps its bits whatever the block."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(start, start + rows) for start in range(0, n_rows, rows)]
 
 
 def c_transform(points, sinks, values, metric=dists) -> np.ndarray:
     """``phi(x) = min_t (values_t + metric(x, t))`` at the rows x of `points`
     over the rows t of `sinks` (0 when there are none), with `metric`
-    broadcasting like :func:`dists`.  Rows are computed in blocks whose
-    (rows, sinks, dim) arrays take ``_BLOCK_BYTES``; each row on its own, so
-    the block size cannot change the bits."""
+    broadcasting like :func:`dists`, in :func:`row_blocks` whose
+    (rows, sinks, dim) arrays take ``_BLOCK_BYTES``."""
     phi = np.zeros(len(points))
     if len(sinks):
-        rows = max(1, _BLOCK_BYTES // (8 * sinks.size))
-        for start in range(0, len(points), rows):
-            block = points[start : start + rows]
-            phi[start : start + rows] = np.min(metric(block[:, None], sinks[None]) + values, axis=1)
+        for rows in row_blocks(len(points), 8 * sinks.size):
+            phi[rows] = np.min(metric(points[rows][:, None], sinks[None]) + values, axis=1)
     return phi
+
+
+def bin_sums(bins, weights, n: int) -> np.ndarray:
+    """Float64 sums of `weights` per bin in ``range(n)``, each bin's weights
+    added in input order from 0.0.  ``np.bincount`` returns int64 zeros when
+    there is nothing to bin; this returns float64 zeros."""
+    return np.bincount(bins, weights=weights, minlength=n).astype(float, copy=False)
 
 
 def ordered_sum(terms) -> float:

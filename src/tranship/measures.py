@@ -23,7 +23,17 @@ import numpy as np
 
 from .errors import TailBoundError, UnbalancedMeasureError, ValidationError
 from .funcs import TestFunction
-from .geom import Grid, as_point, dists, gauss_legendre, ordered_sum, segment_quadrature, vec_norm
+from .geom import (
+    Grid,
+    as_point,
+    bin_sums,
+    dists,
+    gauss_legendre,
+    ordered_sum,
+    row_blocks,
+    segment_quadrature,
+    vec_norm,
+)
 
 __all__ = [
     "SignedAtomMeasure",
@@ -53,6 +63,7 @@ OVERLAP_RTOL = 1e-9
 
 SEGMENT_EXACT_DEGREE = 16  # 8-node Gauss-Legendre integrates degree-15 integrands
 CELL_EXACT_DEGREE = 8  # 4 nodes per axis
+_CELL_NODES = 4  # Gauss-Legendre nodes per axis of a cell
 
 
 class QuadratureDegreeWarning(UserWarning):
@@ -101,8 +112,8 @@ def _merge_atoms(points, masses):
         joins[a] = len(kept)
         kept_in.setdefault(key, []).append(len(kept))
         kept.append(a)
-    # bincount adds each atom's mass in input order, from 0.0
-    kept_mass = np.bincount(joins, weights=masses, minlength=len(kept))
+    # each atom's mass is added in input order, from 0.0
+    kept_mass = bin_sums(joins, masses, len(kept))
     nonzero = kept_mass != 0.0
     return points[kept][nonzero], kept_mass[nonzero]
 
@@ -444,10 +455,11 @@ class Distribution:
         return Distribution(SignedAtomMeasure.empty(nu.dim), nu)
 
 
-def _cell_quadrature(grid: Grid, flat, n: int = 4):
+def _cell_quadrature(grid: Grid, flat):
     """Tensor Gauss-Legendre points ``(k, n**dim, dim)`` in the cells `flat`
-    (C-order indices) and the weights ``(n**dim,)`` they all share."""
-    nodes, weights = gauss_legendre(n)
+    (C-order indices) and the weights ``(n**dim,)`` they all share, with
+    ``n = _CELL_NODES``."""
+    nodes, weights = gauss_legendre(_CELL_NODES)
     h = grid.cell_size
     offsets = np.meshgrid(*((0.5 * (nodes + 1.0))[:, None] * h).T, indexing="ij")
     axis_weights = np.meshgrid(*((0.5 * weights)[:, None] * h).T, indexing="ij")
@@ -489,7 +501,9 @@ def pair(f: Distribution, func: TestFunction) -> float:
     The measure part contributes point values; the divergence part pairs the
     gradient of `func` against the vector measure.  `func` is called on the
     point arrays of each part (:mod:`tranship.funcs`); the terms are added in
-    order: measure part, vector atoms, segments, nonzero cells.
+    order: measure part, vector atoms, segments, nonzero cells.  Cells go in
+    :func:`~tranship.geom.row_blocks`, each cell on its own, so the block
+    size bounds the memory without changing the bits.
     """
     nu = f.divergence_part
     _check_quadrature_degree(func, nu.n_segments > 0, nu.cells is not None)
@@ -500,9 +514,12 @@ def pair(f: Distribution, func: TestFunction) -> float:
         _quadrature_sums(func, nu.seg_density, *segment_quadrature(nu.seg_a, nu.seg_b)),
     ]
     if nu.cells is not None:
+        grid = nu.cells.grid
         flat = np.flatnonzero(np.any(nu.cells.vectors, axis=1))
-        points, weights = _cell_quadrature(nu.cells.grid, flat)
-        terms.append(_quadrature_sums(func, nu.cells.vectors[flat], points, weights))
+        # in blocks of cells: one cell's quadrature points take a row
+        for rows in row_blocks(flat.size, 8 * _CELL_NODES**grid.dim * grid.dim):
+            points, weights = _cell_quadrature(grid, flat[rows])
+            terms.append(_quadrature_sums(func, nu.cells.vectors[flat[rows]], points, weights))
     return ordered_sum(np.concatenate(terms))
 
 

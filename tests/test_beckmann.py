@@ -74,6 +74,19 @@ class TestSolve:
         assert flow.cost == 0.0
         assert np.all(flow.edge_flows == 0.0)
 
+    @pytest.mark.parametrize("route", ["complete", "grid", "grid-diagonals"])
+    def test_empty_measure_has_float_flows(self, route):
+        # a weighted bincount over no entries would give int64 zeros
+        f = SignedAtomMeasure.empty()
+        if route == "complete":
+            net = complete_network(f)
+        else:
+            net = grid_network(Domain([0.0, 0.0], [1.0, 1.0]), (3, 2), f, route == "grid-diagonals")
+        flow = solve_beckmann(net)
+        assert flow.edge_flows.dtype == np.float64
+        assert flow.edge_flows.shape == (len(net.edges),)
+        assert flow.cost == 0.0 and not np.any(flow.edge_flows)
+
     def test_matches_matching_on_complete_graphs(self, rng):
         for _ in range(25):
             f = random_balanced_measure(rng, max_pairs=10)

@@ -107,12 +107,14 @@ class TestRasterizeVectorMeasure:
 
     def test_cell_field_resampled_by_overlap(self):
         coarse = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (1, 1))
-        nu = StructuredVectorMeasure.build(
-            2, cells=CellField(grid=coarse, vectors=np.array([[2.0, 0.0]]))
-        )
-        density = rasterize_vector_measure(nu, UNIT_GRID_2x1)
-        assert np.allclose(density.masses, [1.0, 1.0])
-        assert abs(density.total - nu.total_variation) <= 1e-12
+        # halves of 0.45 would be truncated to 0 by an integer accumulator
+        for vector, halves in (([2.0, 0.0], [1.0, 1.0]), ([0.9, 0.0], [0.45, 0.45])):
+            nu = StructuredVectorMeasure.build(
+                2, cells=CellField(grid=coarse, vectors=np.array([vector]))
+            )
+            density = rasterize_vector_measure(nu, UNIT_GRID_2x1)
+            assert np.allclose(density.masses, halves)
+            assert abs(density.total - nu.total_variation) <= 1e-12
 
     def test_finer_cells_than_grid_rejected(self):
         fine = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (8, 8))

@@ -1,6 +1,6 @@
 """Importing the package loads no numpy and no scipy, the command line parses
-its arguments before numpy loads, and each command loads only the scipy
-modules of the solvers it calls.  Every import check runs in a fresh
+its arguments before numpy loads, and each command loads only the solver
+modules, and the scipy modules, of the solvers it calls.  Every import check runs in a fresh
 interpreter, because this test process has numpy and scipy loaded already."""
 
 import importlib
@@ -158,6 +158,42 @@ def test_flow_certified_commands_load_no_optimize(tmp_path, doc, args):
     assert result == {"status": 0, "numpy": True, "scipy": []}
     if args[0] != "density":  # density writes a raster, not a report
         assert report_warnings(out) == []
+
+
+CELLS_DOC = {
+    "version": 1,
+    "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "cells": {"resolution": [1, 1], "vectors": [[0.9, 0.0]]},
+}
+
+SOLVERS = ("tranship.matchnorm", "tranship.mincostflow")
+
+
+@pytest.mark.parametrize(
+    "doc, args, solvers",
+    [
+        (PLAN_DOC, ["plan-check"], []),
+        (PLAN_DOC, ["density", "--grid", "4x4"], []),
+        (CELLS_DOC, ["density", "--grid", "3x3", "--format", "csv"], []),
+        (DISTINCT_DOC, ["beckmann", "--grid", "3x1"], ["tranship.mincostflow"]),
+        (DISTINCT_DOC, ["beckmann"], ["tranship.mincostflow"]),
+        (DISTINCT_DOC, ["connect"], list(SOLVERS)),
+        (DISTINCT_DOC, ["density", "--grid", "4x4"], list(SOLVERS)),
+    ],
+    ids=[
+        "plan-check", "density-plan", "density-cells", "beckmann-grid", "beckmann-complete",
+        "connect", "density-atoms",
+    ],
+)
+def test_commands_load_only_their_solver_modules(tmp_path, doc, args, solvers):
+    # the document parser loads no solver module; a command loads the ones it calls
+    path = write_doc(tmp_path, doc)
+    argv = [args[0], path, *args[1:], "--out", str(tmp_path / "report.out")]
+    code = (
+        f"import sys\nfrom tranship.cli import run\nstatus = [run({argv!r}),"
+        f" sorted(m for m in sys.modules if m in {SOLVERS!r})]"
+    )
+    assert modules_after(code)["status"] == [0, solvers]
 
 
 @pytest.mark.parametrize(

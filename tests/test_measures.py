@@ -123,6 +123,25 @@ class TestPair:
         got = pair(Distribution.from_divergence(nu), Polynomial({(1, 1): 1.0}, dim=2))
         assert abs(got - 0.5) < 1e-13
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cell_blocks_keep_the_bits(self, dim, monkeypatch):
+        # the cells are summed in geom.row_blocks; one cell per block must
+        # give the bits of the default budget
+        from tranship import geom
+        from tranship.geom import Domain, Grid
+        from tranship.measures import CellField
+
+        rng = np.random.default_rng(7 + dim)
+        grid = Grid(Domain(np.zeros(dim), np.ones(dim)), (5,) * dim)
+        vectors = rng.normal(size=(grid.n_cells, dim))
+        vectors[::3] = 0.0
+        nu = StructuredVectorMeasure.build(dim, cells=CellField(grid=grid, vectors=vectors))
+        f = Distribution.from_divergence(nu)
+        func = Polynomial({(1,) * dim: 0.7, (3,) + (0,) * (dim - 1): -1.2}, dim=dim)
+        want = pair(f, func)
+        monkeypatch.setattr(geom, "_BLOCK_BYTES", 1)
+        assert pair(f, func).hex() == want.hex()
+
     def test_degree_warning_on_segments(self):
         nu = StructuredVectorMeasure.build(
             2, segments=[((0.0, 0.0), (1.0, 0.0), (1.0, 0.0))]
@@ -155,7 +174,7 @@ class TestCellField:
     @pytest.mark.parametrize("vector", [(0.1, 0.4), (0.1, 1.7, 0.7)])
     def test_total_variation_has_the_bits_of_vec_norm(self, vector):
         # every distance comes from `geom.dists`, so a cell's norm has the bits
-        # of the `vec_norm` the resampler uses; `sqrt(sum(v**2))` can round
+        # of `vec_norm`, as the resampler's norms do; `sqrt(sum(v**2))` can round
         # differently, as it does for these two vectors with OpenBLAS's dot
         from tranship.geom import Domain, Grid
         from tranship.measures import CellField

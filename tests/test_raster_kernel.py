@@ -1,7 +1,9 @@
-"""The batched segment rasterizer and point binning against a per-item
-reference: one segment at a time through ``np.add.at``, one atom at a time
-with its own copy of the lower-face tie rule.  The batched kernel must give
-the same float64 bytes, which pins the accumulation order and the tie rule."""
+"""The batched segment rasterizer, cell-field resampler and point binning
+against a per-item reference: one segment at a time through ``np.add.at``,
+one atom at a time with its own copy of the lower-face tie rule, and one
+source cell at a time (:func:`reference_resample`).  The batched kernels must
+give the same float64 bytes, which pins the accumulation order and the tie
+rule."""
 
 import json
 
@@ -14,7 +16,7 @@ from tranship.density import rasterize_plan, rasterize_vector_measure
 from tranship.errors import ValidationError
 from tranship.geom import Domain, Grid, dist, segment_cell_intervals, vec_norm
 from tranship.matchnorm import Matching
-from tranship.measures import SignedAtomMeasure, StructuredVectorMeasure
+from tranship.measures import CellField, SignedAtomMeasure, StructuredVectorMeasure
 from tranship.mincostflow import ZERO_SUPPLY_RTOL
 from tranship.testing import random_balanced_measure
 
@@ -59,6 +61,41 @@ def _reference_plan(matching, grid):
     return acc
 
 
+def reference_resample(acc, nu, grid):
+    """One nonzero source cell at a time: its overlap lengths with the target
+    cells from floor(lo) to ceil(hi) - 1 on each axis, their outer product,
+    and ``np.add.at`` of |vector| * volume in C order onto the float `acc`."""
+    src = nu.cells.grid
+    for flat in range(src.n_cells):
+        vector = nu.cells.vectors[flat]
+        norm = vec_norm(vector)
+        if norm == 0.0:
+            continue
+        multi = np.unravel_index(flat, src.shape)
+        lo = src.domain.lower + np.asarray(multi, dtype=float) * src.cell_size
+        hi = lo + src.cell_size
+        axis_weights = []
+        axis_indices = []
+        for k in range(grid.dim):
+            cell = grid.cell_size[k]
+            base = grid.domain.lower[k]
+            i0 = max(0, int(np.floor((lo[k] - base) / cell)))
+            i1 = min(grid.shape[k] - 1, int(np.ceil((hi[k] - base) / cell)) - 1)
+            idx = np.arange(i0, i1 + 1)
+            left = np.maximum(lo[k], base + idx * cell)
+            right = np.minimum(hi[k], base + (idx + 1) * cell)
+            w = np.maximum(right - left, 0.0)
+            keep = w > 0.0
+            axis_indices.append(idx[keep])
+            axis_weights.append(w[keep])
+        vol = axis_weights[0]
+        for k in range(1, grid.dim):
+            vol = np.multiply.outer(vol, axis_weights[k])
+        mesh = np.meshgrid(*axis_indices, indexing="ij")
+        flat_targets = np.ravel_multi_index([m.ravel() for m in mesh], grid.shape)
+        np.add.at(acc, flat_targets, norm * vol.ravel())
+
+
 def _reference_vector_measure(nu, grid):
     acc = np.zeros(grid.n_cells)
     for a, b, density, length in zip(nu.seg_a, nu.seg_b, nu.seg_density, nu.segment_lengths):
@@ -66,6 +103,8 @@ def _reference_vector_measure(nu, grid):
     tail = np.zeros(grid.n_cells)
     for point, vector in zip(nu.atom_points, nu.atom_vectors):
         tail[_reference_cell(grid, point)] += vec_norm(vector)
+    if nu.cells is not None:
+        reference_resample(tail, nu, grid)
     return acc + tail
 
 
@@ -141,6 +180,83 @@ def test_vector_measure_raster_matches_per_item_loop(dim):
         )
         got = rasterize_vector_measure(nu, grid).masses
         assert got.tobytes() == _reference_vector_measure(nu, grid).tobytes()
+
+
+def _random_cell_field(rng, grid):
+    """A cell field whose cells are 1 to 3 target cells wide along each axis,
+    on the whole target domain or on a box offset inside it (by whole target
+    cells or not), with zero-vector cells; sometimes every vector is zero."""
+    n = np.asarray(grid.shape)
+    if rng.random() < 0.25:
+        shape = rng.integers(1, n + 1)
+        lower, upper = grid.domain.lower, grid.domain.upper
+    else:
+        # cell widths and offsets in target cells
+        width = np.where(rng.random(grid.dim) < 0.2, 1.0, rng.uniform(1.0, np.minimum(3.0, n)))
+        shape = rng.integers(1, np.floor(n / width).astype(int) + 1)
+        room = rng.uniform(0.0, np.maximum(n - shape * width, 0.0))
+        offset = np.where(rng.random(grid.dim) < 0.5, np.floor(room), room)
+        lower = grid.domain.lower + offset * grid.cell_size
+        upper = lower + shape * width * grid.cell_size
+    vectors = rng.normal(size=(int(np.prod(shape)), grid.dim))
+    vectors[rng.random(len(vectors)) < 0.3] = 0.0
+    if rng.random() < 0.1:
+        vectors[:] = 0.0
+    return CellField(Grid(Domain(lower, upper), tuple(shape)), vectors)
+
+
+def _cell_measure(rng, grid, cells, n_atoms, n_segments):
+    """Vector atoms and segments on `grid`, plus the cell field `cells`."""
+    a, b = _random_segments(rng, grid, n_segments)
+    moving = np.any(a != b, axis=1)  # vector measures reject zero-length segments
+    densities = rng.normal(size=a.shape)
+    atom_points = _random_points(rng, grid, n_atoms)
+    return StructuredVectorMeasure(
+        grid.dim, atom_points, rng.normal(size=atom_points.shape),
+        a[moving], b[moving], densities[moving], cells=cells, validate=False,
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cell_field_raster_matches_per_cell_loop(dim):
+    rng = np.random.default_rng(6040 + dim)
+    for trial in range(80):
+        grid = _random_grid(rng, dim)
+        cells = _random_cell_field(rng, grid)
+        # cells alone, with atoms, with segments, and with both
+        n_atoms = int(rng.integers(1, 20)) if trial % 2 else 0
+        n_segments = int(rng.integers(1, 20)) if trial % 4 >= 2 else 0
+        nu = _cell_measure(rng, grid, cells, n_atoms, n_segments)
+        got = rasterize_vector_measure(nu, grid).masses
+        assert got.tobytes() == _reference_vector_measure(nu, grid).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_segments", [0, 12], ids=["cells-only", "cells-and-segments"])
+def test_cell_field_without_atoms_keeps_its_total_variation(dim, n_segments):
+    rng = np.random.default_rng([6050, dim, n_segments])
+    for _ in range(30):
+        grid = _random_grid(rng, dim)
+        nu = _cell_measure(rng, grid, _random_cell_field(rng, grid), 0, n_segments)
+        total = rasterize_vector_measure(nu, grid).total
+        assert abs(total - nu.total_variation) <= 1e-12 * nu.total_variation
+
+
+def test_unit_cell_field_is_not_truncated(tmp_path, capsys):
+    # the 1x1 field [0.9, 0] on the unit box spreads 0.1 over each of 3x3
+    # cells, alone and beside a segment of mass 0.8
+    unit = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+    cells = {"resolution": [1, 1], "vectors": [[0.9, 0.0]], "domain": unit}
+    segment = {"a": [0.1, 0.5], "b": [0.9, 0.5], "density": [1.0, 0.0]}
+    for segments, total in (([], 0.9), ([segment], 1.7)):
+        doc = {"version": 1, "domain": unit, "cells": cells, "segments": segments}
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(doc))
+        assert run(["density", str(path), "--grid", "3x3", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        masses = [float(row.split(",")[-1]) for row in rows]
+        assert len(masses) == 9 and abs(sum(masses) - total) <= 1e-12 * total
+        assert min(masses) >= 0.1 - 1e-15
 
 
 @pytest.mark.parametrize("dim", [2, 3])
