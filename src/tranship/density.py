@@ -27,6 +27,7 @@ if TYPE_CHECKING:
 __all__ = ["Grid", "GridDensity", "rasterize_plan", "rasterize_vector_measure", "export"]
 
 _ASCII_RAMP = " .:-=+*#%@"
+_SVG_CELL_PX = 16  # side of one cell in the SVG export
 
 
 @dataclass(frozen=True)
@@ -156,24 +157,24 @@ def _export_csv(density: GridDensity) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _export_svg(density: GridDensity, cell_px: int = 16) -> bytes:
+def _export_svg(density: GridDensity) -> bytes:
     nx, ny = density.grid.shape
     arr = density.as_array()
     peak = float(arr.max())
     shade = arr / peak if peak != 0.0 else np.zeros_like(arr)
     # np.rint rounds half to even, as Python's round does
     levels = (255 - np.rint(255 * shade)).astype(int).tolist()
-    width, height = nx * cell_px, ny * cell_px
+    width, height = nx * _SVG_CELL_PX, ny * _SVG_CELL_PX
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
     for i, column in enumerate(levels):
-        x = i * cell_px
+        x = i * _SVG_CELL_PX
         for j, level in enumerate(column):
-            y = (ny - 1 - j) * cell_px
+            y = (ny - 1 - j) * _SVG_CELL_PX
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
+                f'<rect x="{x}" y="{y}" width="{_SVG_CELL_PX}" height="{_SVG_CELL_PX}" '
                 f'fill="rgb({level},{level},{level})"/>'
             )
     parts.append("</svg>")

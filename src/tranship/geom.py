@@ -6,9 +6,9 @@ are the same kernel broadcast over leading axes.  Values compared for exact
 equality elsewhere (oracle tests, conservation checks) are therefore
 computed bit for bit the same way, whichever shape asked for them.
 Likewise :meth:`Grid.cell_indices` is the one binning rule (a point on a
-cell face goes to the lower-index cell); :meth:`Grid.cell_index` and
-:func:`segment_cell_intervals` bin through it.  Containment has one rule
-too: a point lies in a :class:`Domain` when it is inside the box padded by
+cell face goes to the lower-index cell); :func:`segment_cell_intervals`
+bins through it.  Containment has one rule too: a point lies in a
+:class:`Domain` when it is inside the box padded by
 ``GEOMETRY_RTOL * max(extent, 1)`` per axis.  Documents, grids, rasterizers
 and cell-field resampling all check through :meth:`Domain.require_inside`
 (:meth:`Domain.contains` is its boolean form), so whatever a document
@@ -32,6 +32,10 @@ from .errors import ValidationError
 # per axis, and still count as inside; grids bin such points into the
 # boundary cell
 GEOMETRY_RTOL = 1e-12
+# Domain.from_geometry pads the bounding box by this share of its extent per side
+_GEOMETRY_PAD = 0.05
+# Gauss-Legendre nodes per segment in segment_quadrature
+_SEGMENT_NODES = 8
 
 __all__ = [
     "GEOMETRY_RTOL",
@@ -172,8 +176,9 @@ class Domain:
             raise ValidationError(message.format(p.tolist()))
 
     @staticmethod
-    def from_geometry(points, pad: float = 0.05) -> "Domain":
-        """Bounding box of `points`, padded by `pad` of the extent per side."""
+    def from_geometry(points) -> "Domain":
+        """Bounding box of `points`, padded by ``_GEOMETRY_PAD`` of the extent
+        per side."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.size == 0:
             raise ValidationError("cannot build a domain from empty geometry")
@@ -181,7 +186,7 @@ class Domain:
         hi = pts.max(axis=0)
         diag = vec_norm(hi - lo)
         widths = hi - lo
-        margin = pad * np.where(widths > 0, widths, max(diag, 1.0))
+        margin = _GEOMETRY_PAD * np.where(widths > 0, widths, max(diag, 1.0))
         return Domain(lo - margin, hi + margin)
 
 
@@ -227,15 +232,6 @@ class Grid:
         np.clip(idx, 0, np.asarray(self.shape) - 1, out=idx)
         return np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), self.shape)
 
-    def cell_index(self, point) -> tuple:
-        """Multi-index of the cell containing `point`: the scalar case of
-        :meth:`cell_indices`."""
-        self.domain.require_inside(point, "point {} lies outside the grid domain")
-        return tuple(int(i) for i in np.unravel_index(self.cell_indices(point), self.shape))
-
-    def flat_index(self, multi_index) -> int:
-        return int(np.ravel_multi_index(multi_index, self.shape))
-
     def centers(self) -> np.ndarray:
         """All cell centers, shape (n_cells, dim), C order."""
         axes = [
@@ -255,12 +251,13 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-def segment_quadrature(a, b, n: int = 8):
+def segment_quadrature(a, b):
     """Gauss-Legendre points ``(..., n, dim)`` on the segments [a, b] and
-    weights ``(..., n)`` summing to their lengths, broadcast like :func:`dists`."""
+    weights ``(..., n)`` summing to their lengths, broadcast like :func:`dists`,
+    with ``n = _SEGMENT_NODES``."""
     a = np.asarray(a, dtype=float)[..., None, :]
     b = np.asarray(b, dtype=float)[..., None, :]
-    nodes, weights = gauss_legendre(n)
+    nodes, weights = gauss_legendre(_SEGMENT_NODES)
     points = a + (0.5 * (nodes + 1.0))[:, None] * (b - a)
     return points, 0.5 * weights * dists(a, b)
 

@@ -79,6 +79,8 @@ _LP_OPTIONS = {
 }
 # nearest neighbours per atom in the LPs' starting rows
 NEIGHBOURS = 8
+# brute_force_connection enumerates k! matchings, so it refuses k beyond this
+_BRUTE_FORCE_MAX_DIPOLES = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +271,7 @@ def _all_permutations(k: int) -> np.ndarray:
     return np.array(list(permutations(range(k))), dtype=int)
 
 
-def brute_force_connection(f: SignedAtomMeasure, max_dipoles: int = 7) -> float:
+def brute_force_connection(f: SignedAtomMeasure) -> float:
     """Exhaustive minimum over all perfect matchings; unit masses only.
 
     Testing oracle: enumerates every permutation, so it is independent of the
@@ -287,8 +289,10 @@ def brute_force_connection(f: SignedAtomMeasure, max_dipoles: int = 7) -> float:
     ):
         raise ValidationError("brute force oracle requires equal unit masses")
     k = len(pos_pts)
-    if k > max_dipoles:
-        raise ValidationError(f"brute force oracle limited to {max_dipoles} dipoles, got {k}")
+    if k > _BRUTE_FORCE_MAX_DIPOLES:
+        raise ValidationError(
+            f"brute force oracle limited to {_BRUTE_FORCE_MAX_DIPOLES} dipoles, got {k}"
+        )
     d = dists(pos_pts[:, None], neg_pts[None])
     perms = _all_permutations(k)
     costs = d[np.arange(k)[None, :], perms].sum(axis=1)

@@ -278,6 +278,10 @@ class CellField:
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("cell vectors must be finite")
+        # as for a vector measure's vectors: a norm that overflows would make
+        # the total variation and the rasterized masses infinite
+        if not np.all(np.isfinite(dists(v, 0.0))):
+            raise ValidationError("cell vectors must have finite norms")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 

@@ -1,6 +1,7 @@
 """Uncapacitated min-cost flow by successive shortest paths in phases.
 
-Two solvers run the same phases and share their end (:func:`_advance`):
+One phase loop (:func:`_phases`) serves two solvers, which differ only in
+how a phase finds its shortest paths:
 
 * :func:`solve_min_cost_flow` takes any directed arc list and serves the
   graph-flow route: :func:`~tranship.beckmann.solve_beckmann` on complete
@@ -16,24 +17,22 @@ Two solvers run the same phases and share their end (:func:`_advance`):
   costs are the grid-graph distances between supply and demand cells (the
   metric and the path routing are in :mod:`tranship.beckmann`).
 
-Both work on arcs with nonnegative costs.  Node potentials ``u`` keep every
-residual reduced cost ``cost(i, j) - u[i] + u[j]`` nonnegative.  Each phase
-is one multi-source Dijkstra from every node with excess over the residual
-graph (forward arcs plus the canceling arcs of flow-carrying arcs), with
-reduced costs clamped at 0.  :func:`solve_min_cost_flow` stores that graph
-as a CSR, cheapest entry per ordered node pair, built once per solve on the
-fixed pattern of every ordered pair that can ever hold a residual arc (each
-arc's pair and its reverse); a phase rewrites only its ``data``, with
-``+inf`` in the slots that hold no residual arc, and Dijkstra never improves
-a label through an infinite edge.  :func:`solve_transport` keeps the dense
-reduced-cost matrix and relaxes a settled source's whole row at once
-(:func:`_bipartite_dijkstra`, the dense row relaxation of Jonker &
-Volgenant, *Computing* 38, 1987).  Subtracting the distances from the
-potentials (the largest finite distance at nodes not reached) makes every
-arc of the shortest-path forest tight; the phase then augments along each
-forest path from a node with excess to a node with deficit (the primal-dual
-method of Ahuja, Magnanti & Orlin, *Network Flows*, 1993, chs. 9-10).  At
-termination the potentials are an optimal dual solution:
+The phase contract.  Both work on arcs with nonnegative costs, from zero
+flow and zero potentials.  Node potentials ``u`` keep every residual reduced
+cost ``cost(i, j) - u[i] + u[j]`` nonnegative.  Each phase is one
+multi-source Dijkstra from every node with excess over the residual graph
+(forward arcs plus the canceling arcs of flow-carrying arcs), with reduced
+costs clamped at 0; a solver's ``step`` returns its distances, predecessors
+and forest arcs.  Subtracting the distances from the potentials (the
+largest finite distance at nodes not reached) makes every arc of the
+shortest-path forest tight; the phase then augments along each forest path
+from a node with excess to a node with deficit (the primal-dual method of
+Ahuja, Magnanti & Orlin, *Network Flows*, 1993, chs. 9-10).  Supply or
+excess within ``ZERO_SUPPLY_RTOL`` of the supplies' total magnitude counts
+as 0; more than ``_MAX_AUGMENTATIONS_FACTOR * (nodes + arcs + 1)``
+augmentations raise :class:`~tranship.errors.VerificationError`.  The
+returned flows and potentials are read-only.  At termination the potentials
+are an optimal dual solution:
 
 * ``u[i] - u[j] <= cost(i, j)`` for every arc (feasibility),
 * ``u[i] - u[j] == cost(i, j)`` on every flow-carrying arc (slackness).
@@ -42,6 +41,16 @@ With arcs built from Euclidean lengths this makes ``u`` a Kantorovich
 potential certifying the transport cost, which is why the augmentation and
 the potentials are written out rather than delegated: the certificates are
 part of the public contract.
+
+:func:`solve_min_cost_flow` stores the residual graph as a CSR, cheapest
+entry per ordered node pair, built once per solve on the fixed pattern of
+every ordered pair that can ever hold a residual arc (each arc's pair and
+its reverse); a phase rewrites only its ``data``, with ``+inf`` in the slots
+that hold no residual arc, and Dijkstra never improves a label through an
+infinite edge.  :func:`solve_transport` keeps the dense reduced-cost matrix
+and relaxes a settled source's whole row at once
+(:func:`_bipartite_dijkstra`, the dense row relaxation of Jonker &
+Volgenant, *Computing* 38, 1987).
 
 :mod:`scipy.sparse.csgraph` is imported inside :func:`solve_min_cost_flow`,
 so importing this module, or calling :func:`transport`, loads no scipy.
@@ -105,22 +114,21 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
     if np.any((arcs < 0) | (arcs >= n_nodes)):
         raise ValidationError("arc endpoints must be node indices")
 
+    # Only the cheapest arc of each ordered pair carries flow: the input arcs
+    # `cheapest`, input arc cheapest[a] at position a.  The residual graph is
+    # one CSR on the fixed sorted pattern `keys` of those pairs and their
+    # reverses, key = tail * n_nodes + head; each phase rewrites only its
+    # data.  Arrays needed only to build it are dropped as soon as they are
+    # used.
     m = arcs.shape[0]
-    scale = float(np.sum(np.abs(supply)))
-    eps = ZERO_SUPPLY_RTOL * max(scale, 1.0)
-
-    # Only the cheapest arc of each ordered pair carries flow; arc a of the
-    # solve is input arc cheapest[a].  The residual graph is one CSR on the
-    # fixed sorted pattern `keys` of those pairs and their reverses, key =
-    # tail * n_nodes + head; each phase rewrites only its data.  Arrays
-    # needed only to build it are dropped as soon as they are used.
     tail, head = arcs[:, 0], arcs[:, 1]
     pair = tail * n_nodes + head
     by_pair = np.lexsort((costs, pair))
     cheapest = by_pair[np.unique(pair[by_pair], return_index=True)[1]]
     del by_pair
+    position = np.empty(m, dtype=int)
+    position[cheapest] = np.arange(cheapest.size)
     tail, head, cost = tail[cheapest], head[cheapest], costs[cheapest]
-    k = cheapest.size
     forward_key = pair[cheapest]
     del pair
     cancel_key = head * n_nodes + tail
@@ -135,22 +143,16 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
         shape=(n_nodes, n_nodes),
     )
     slot_cost = graph.data
-    # the arc each slot's entry stands for: k + a is the canceling arc of a
+    # the input arc each slot's entry stands for: m + a cancels arc a
     slot_arc = np.full(keys.size, -1)
-    slot_arc[forward_slot] = np.arange(k)
+    slot_arc[forward_slot] = cheapest
 
-    flow = np.zeros(k)
-    potential = np.zeros(n_nodes)
-    excess = supply.copy()
-    max_rounds = _MAX_AUGMENTATIONS_FACTOR * (n_nodes + m + 1)
-    rounds = 0
-    while np.any(excess < -eps) and np.any(excess > eps):
-        sources = np.flatnonzero(excess > eps)
+    def step(potential, flow, roots):
         # residual reduced costs clamped at 0, +inf where no residual arc;
         # the canceling arc of a flow-carrying arc wins ties
         reduced_cost = cost - potential[tail] + potential[head]
         slot_cost[forward_slot] = np.maximum(reduced_cost, 0.0)
-        back = np.flatnonzero(flow > 0.0)
+        back = position[np.flatnonzero(flow > 0.0)]
         cancel_cost = np.maximum(-reduced_cost[back], 0.0)
         del reduced_cost
         wins = cancel_cost <= slot_cost[cancel_slot[back]]
@@ -158,9 +160,11 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
         won = cancel_slot[back]
         slot_cost[won] = cancel_cost[wins]
         replaced = slot_arc[won]
-        slot_arc[won] = k + back
+        slot_arc[won] = m + cheapest[back]
 
-        dist, pred, _ = dijkstra(graph, indices=sources, min_only=True, return_predecessors=True)
+        dist, pred, _ = dijkstra(
+            graph, indices=np.flatnonzero(roots), min_only=True, return_predecessors=True
+        )
         child = np.flatnonzero(pred >= 0)
         tree_arc = np.full(n_nodes, -1)
         tree_key = pred[child].astype(int) * n_nodes + child
@@ -168,15 +172,9 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
         # back to the forward arcs only, as the next phase expects
         slot_cost[won] = np.inf
         slot_arc[won] = replaced
-        rounds = _advance(dist, pred, tree_arc, potential, flow, excess, eps, rounds, max_rounds)
-        # free this phase's arrays before the next phase allocates its own
-        del dist, pred, tree_arc
+        return dist, pred, tree_arc
 
-    arc_flows = np.zeros(m)
-    arc_flows[cheapest] = flow
-    arc_flows.setflags(write=False)
-    potential.setflags(write=False)
-    return FlowSolution(arc_flows=arc_flows, potentials=potential)
+    return _phases(supply, m, step)
 
 
 def solve_transport(cost, supply) -> FlowSolution:
@@ -218,38 +216,26 @@ def solve_transport(cost, supply) -> FlowSolution:
     if np.any(supply[:p] < 0.0) or np.any(supply[p:] > 0.0):
         raise ValidationError("sources need supply >= 0 and sinks supply <= 0")
 
-    scale = float(np.sum(np.abs(supply)))
-    eps = ZERO_SUPPLY_RTOL * max(scale, 1.0)
-    flow = np.zeros((p, q))
-    arc_flow = flow.reshape(-1)  # a view: arc i * q + j
-    potential = np.zeros(p + q)
-    u, v = potential[:p], potential[p:]
-    excess = supply.copy()
-    max_rounds = _MAX_AUGMENTATIONS_FACTOR * (p + q + arc_flow.size + 1)
-    rounds = 0
     reduced = np.empty((p, q))
-    while np.any(excess < -eps) and np.any(excess > eps):
+
+    def step(potential, flow, roots):
         # the reduced costs in solve_min_cost_flow's order of operations
-        np.subtract(cost, u[:, None], out=reduced)
-        reduced += v
-        carrying = np.flatnonzero(arc_flow > 0.0)
+        np.subtract(cost, potential[:p, None], out=reduced)
+        np.add(reduced, potential[p:], out=reduced)
+        carrying = np.flatnonzero(flow > 0.0)
         cancel_cost = np.maximum(-reduced.ravel()[carrying], 0.0)
         np.maximum(reduced, 0.0, out=reduced)
-        dist, pred = _bipartite_dijkstra(reduced, carrying, cancel_cost, excess[:p] > eps)
+        dist, pred = _bipartite_dijkstra(reduced, carrying, cancel_cost, roots[:p])
 
         # forest arcs: source i -> sink j is arc i * q + j, sink j -> source
         # i cancels it and is numbered p * q past it
         tree_arc = np.full(p + q, -1)
         tree_arc[p:] = pred[p:] * q + np.arange(q)  # every sink is reached
         back = np.flatnonzero(pred[:p] >= 0)
-        tree_arc[back] = arc_flow.size + back * q + (pred[back] - p)
-        rounds = _advance(
-            dist, pred, tree_arc, potential, arc_flow, excess, eps, rounds, max_rounds
-        )
+        tree_arc[back] = flow.size + back * q + (pred[back] - p)
+        return dist, pred, tree_arc
 
-    arc_flow.setflags(write=False)
-    potential.setflags(write=False)
-    return FlowSolution(arc_flows=arc_flow, potentials=potential)
+    return _phases(supply, p * q, step)
 
 
 def transport(points, supply, metric=dists):
@@ -341,56 +327,70 @@ def _bipartite_dijkstra(reduced, carrying, cancel_cost, roots):
     return dist, pred
 
 
-def _advance(dist, pred, tree_arc, potential, flow, excess, eps, rounds, max_rounds):
-    """End one phase of either solver; returns the augmentation count.
+def _phases(supply, n_arcs, step) -> FlowSolution:
+    """Run the phases of the module docstring from zero flow on `n_arcs`
+    arcs and zero potentials at the ``supply.size`` nodes.
 
-    `dist` and `pred` are the phase's shortest distances and forest (``inf``
-    and a negative predecessor where unreached, a negative predecessor at the
-    roots); ``tree_arc[v]`` is the residual arc from ``pred[v]`` into v,
-    ``a`` for a forward arc and ``flow.size + a`` for the arc canceling it.
-    The potentials drop by the distances (the largest finite distance at
-    nodes not reached), which makes every forest arc tight.  Then each
-    reached node with deficit, in increasing order, takes what its path from
-    its root can carry: the least of the root's excess, its deficit and the
-    flow on each canceling arc of the path.
+    ``step(potential, flow, roots)`` builds one phase's residual graph from
+    the current `potential` and `flow` and returns its shortest distances
+    and forest from the nodes where `roots` is true: ``dist`` and ``pred``
+    (``inf`` and a negative predecessor where unreached, a negative
+    predecessor at the roots), and ``tree_arc[v]``, the residual arc from
+    ``pred[v]`` into v: ``a`` for a forward arc and ``n_arcs + a`` for the
+    arc canceling it.  Each reached node with deficit, in increasing order,
+    then takes what its path from its root can carry: the least of the
+    root's excess, its deficit and the flow on each canceling arc of the
+    path.
     """
-    reached = np.isfinite(dist)
-    sinks = np.flatnonzero(reached & (excess < -eps))
-    if sinks.size == 0:
-        raise InfeasibleFlowError(
-            f"supply at node {int(np.flatnonzero(excess > eps)[0])} cannot reach any demand "
-            "(graph disconnected between sources and sinks)"
-        )
-    potential -= np.where(reached, dist, np.max(dist[reached]))
-
-    k = flow.size
-    pred, tree_arc = pred.tolist(), tree_arc.tolist()
-    for t in sinks.tolist():
-        if excess[t] >= -eps:
-            continue
-        path = []
-        s = t
-        while pred[s] >= 0:
-            path.append(tree_arc[s])
-            s = pred[s]
-        if excess[s] <= eps:
-            continue
-        delta = min(excess[s], -excess[t])
-        for a in path:
-            if a >= k:
-                delta = min(delta, flow[a - k])
-        if delta <= 0.0:
-            continue
-        for a in path:
-            if a < k:
-                flow[a] += delta
-            else:
-                flow[a - k] = 0.0 if flow[a - k] == delta else flow[a - k] - delta
-        excess[s] = 0.0 if delta == excess[s] else excess[s] - delta
-        excess[t] = 0.0 if delta == -excess[t] else excess[t] + delta
-        rounds += 1
-        if rounds > max_rounds:
-            raise VerificationError(
-                "augmentation limit exceeded; supplies may be numerically inconsistent"
+    eps = ZERO_SUPPLY_RTOL * max(float(np.sum(np.abs(supply))), 1.0)
+    flow = np.zeros(n_arcs)
+    potential = np.zeros(supply.size)
+    excess = supply.copy()
+    max_rounds = _MAX_AUGMENTATIONS_FACTOR * (supply.size + n_arcs + 1)
+    rounds = 0
+    while np.any(excess < -eps) and np.any(excess > eps):
+        dist, pred, tree_arc = step(potential, flow, excess > eps)
+        reached = np.isfinite(dist)
+        sinks = np.flatnonzero(reached & (excess < -eps))
+        if sinks.size == 0:
+            raise InfeasibleFlowError(
+                f"supply at node {int(np.flatnonzero(excess > eps)[0])} cannot reach any demand "
+                "(graph disconnected between sources and sinks)"
             )
-    return rounds
+        potential -= np.where(reached, dist, np.max(dist[reached]))
+        pred, tree_arc = pred.tolist(), tree_arc.tolist()
+        for t in sinks.tolist():
+            if excess[t] >= -eps:
+                continue
+            path = []
+            s = t
+            while pred[s] >= 0:
+                path.append(tree_arc[s])
+                s = pred[s]
+            if excess[s] <= eps:
+                continue
+            delta = min(excess[s], -excess[t])
+            for a in path:
+                if a >= n_arcs:
+                    delta = min(delta, flow[a - n_arcs])
+            if delta <= 0.0:
+                continue
+            for a in path:
+                if a < n_arcs:
+                    flow[a] += delta
+                else:
+                    a -= n_arcs
+                    flow[a] = 0.0 if flow[a] == delta else flow[a] - delta
+            excess[s] = 0.0 if delta == excess[s] else excess[s] - delta
+            excess[t] = 0.0 if delta == -excess[t] else excess[t] + delta
+            rounds += 1
+            if rounds > max_rounds:
+                raise VerificationError(
+                    "augmentation limit exceeded; supplies may be numerically inconsistent"
+                )
+        # free this phase's arrays before the next phase allocates its own
+        del dist, pred, tree_arc
+
+    flow.setflags(write=False)
+    potential.setflags(write=False)
+    return FlowSolution(arc_flows=flow, potentials=potential)

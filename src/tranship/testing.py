@@ -22,6 +22,9 @@ __all__ = [
     "SUITES",
 ]
 
+# normal vector atoms in a certified_instance
+_N_NORMAL = 3
+
 
 def random_balanced_measure(rng: np.random.Generator, max_pairs: int = 15) -> SignedAtomMeasure:
     """Balanced measure with distinct random masses in the unit box."""
@@ -52,21 +55,21 @@ def random_dipole(rng: np.random.Generator, max_distance: float = 5.0):
     return f, dist(p, n)
 
 
-def certified_instance(rng: np.random.Generator, max_pairs: int = 6, n_normal: int = 3):
+def certified_instance(rng: np.random.Generator, max_pairs: int = 6):
     """Tangential transport plus well-separated normal atoms.
 
     Returns (nu, matching, normal_part): `nu` combines the optimal transport
     segments of a random balanced measure with far-away vector atoms, so the
     norm additivity of the tangential/normal decomposition is certifiable by
-    an explicit Lipschitz witness.  Normal atoms sit on a line at x >= 4,
-    farther from the unit box than any potential value can reach, and 10
-    bump radii apart from each other.
+    an explicit Lipschitz witness.  The ``_N_NORMAL`` normal atoms sit on a
+    line at x >= 4, farther from the unit box than any potential value can
+    reach, and 10 bump radii apart from each other.
     """
     f = random_balanced_measure(rng, max_pairs=max_pairs)
     matching = minimal_connection(f)
     nu_t = to_vector_measure(plan_from_matching(matching))
     atoms = []
-    for k in range(n_normal):
+    for k in range(_N_NORMAL):
         z = np.array([4.0 + 2.0 * k, rng.uniform(0.0, 1.0)])
         vec = rng.normal(size=2)
         vec *= rng.uniform(0.5, 2.0) / np.sqrt(np.dot(vec, vec))

@@ -481,7 +481,10 @@ class TestCommands:
         ("decompose", {"version": 1, "segments": [{"a": [0.0, 0.0], "b": [1e200, 1e200],
                                                    "density": [1.0, 1.0]}]},
          "segment lengths must be finite"),
-    ], ids=["atom-dipole", "atom-four", "segment-density", "vector-atom", "segment-length"])
+        ("decompose", {**CELL_DOC, "cells": {**CELL_DOC["cells"], "vectors": [[1e200, 1e200]]}},
+         "cell vectors must have finite norms"),
+    ], ids=["atom-dipole", "atom-four", "segment-density", "vector-atom", "segment-length",
+            "cell-vector-norm"])
     def test_overflowing_norms_are_validation_errors(self, tmp_path, capsys, command, doc,
                                                      message):
         # every number is finite, but a distance or a norm overflows

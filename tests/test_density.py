@@ -74,7 +74,7 @@ class TestRasterizeVectorMeasure:
         grid = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (2, 2))
         nu = StructuredVectorMeasure.build(2, atoms=[((0.25, 0.25), (0.0, 3.0))])
         density = rasterize_vector_measure(nu, grid)
-        assert density.masses[grid.flat_index((0, 0))] == 3.0
+        assert density.masses[np.ravel_multi_index((0, 0), grid.shape)] == 3.0
         assert density.total == 3.0
 
     def test_zero_measure(self):

@@ -39,10 +39,9 @@ def test_domain_from_geometry_pads_degenerate_axes():
 
 def test_cell_index_boundary_ties_go_low():
     grid = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (4, 4))
-    assert grid.cell_index([0.25, 0.1]) == (0, 0)  # exactly on the 0/1 boundary
-    assert grid.cell_index([0.26, 0.1]) == (1, 0)
-    assert grid.cell_index([1.0, 1.0]) == (3, 3)
-    assert grid.cell_index([0.0, 0.0]) == (0, 0)
+    # the first point lies exactly on the 0/1 boundary
+    flat = grid.cell_indices([[0.25, 0.1], [0.26, 0.1], [1.0, 1.0], [0.0, 0.0]])
+    assert flat.tolist() == np.ravel_multi_index(([0, 1, 3, 0], [0, 0, 3, 0]), grid.shape).tolist()
 
 
 def test_grid_centers_order_is_c_major():
@@ -50,7 +49,7 @@ def test_grid_centers_order_is_c_major():
     centers = grid.centers()
     assert np.allclose(centers[0], [0.25, 0.25])
     assert np.allclose(centers[1], [0.25, 0.75])  # axis 0 major
-    assert grid.flat_index((1, 0)) == 2
+    assert np.ravel_multi_index((1, 0), grid.shape) == 2
 
 
 def test_gauss_legendre_degree_exactness():
@@ -87,7 +86,7 @@ def test_clipping_on_a_cell_face_goes_to_lower_cell():
     grid = Grid(Domain([0.0, 0.0], [1.0, 1.0]), (2, 2))
     _, flat, frac = segment_cell_intervals(grid, [[0.1, 0.5]], [[0.4, 0.5]])
     # runs along the j=0/1 face: assigned to j=0
-    assert flat.tolist() == [grid.flat_index((0, 0))]
+    assert flat.tolist() == [np.ravel_multi_index((0, 0), grid.shape)]
     assert abs(frac.sum() - 1.0) <= 1e-15
 
 

@@ -1,7 +1,8 @@
 """Importing the package loads no numpy and no scipy, the command line parses
 its arguments before numpy loads, and each command loads only the solver
 modules, and the scipy modules, of the solvers it calls.  Every import check runs in a fresh
-interpreter, because this test process has numpy and scipy loaded already."""
+interpreter, because this test process has numpy and scipy loaded already.  The
+benchmark's tracer finds every package name it wraps."""
 
 import importlib
 import json
@@ -15,6 +16,7 @@ import tranship
 from tranship import cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")
 
 PLAN_DOC = {
     "version": 1,
@@ -257,6 +259,16 @@ EXPORTS = {
 )
 def test_no_numpy_before_a_command_runs(code, status):
     assert modules_after(code) == {"status": status, "numpy": False, "scipy": []}
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py rebinds package functions by name, private ones
+    # too: a deleted or renamed one fails here, not only in the benchmark
+    code = (
+        f"import sys\nsys.path.insert(0, {PERFBENCH!r})\nimport tracer\n"
+        "tracer.install(tracer.Tracer())\nstatus = 'installed'"
+    )
+    assert modules_after(code)["status"] == "installed"
 
 
 def test_export_list_is_unchanged():

@@ -236,6 +236,19 @@ def test_transport_has_the_pinned_bits(seed):
     assert digests == PINNED["bipartite", seed]
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: solve_min_cost_flow(3, [[0, 1], [1, 2], [0, 1]], [1.0, 2.0, 3.0], [1.0, 0.0, -1.0]),
+    lambda: solve_min_cost_flow(2, np.zeros((0, 2)), np.zeros(0), np.zeros(2)),
+    lambda: solve_transport([[1.0, 2.0]], [1.0, -0.5, -0.5]),
+    lambda: solve_transport(np.zeros((0, 0)), np.zeros(0)),
+], ids=["arc-list", "arc-list-empty", "transport", "transport-empty"])
+def test_solutions_are_read_only(solve):
+    # the one phase loop returns both arrays read-only, whichever solver asked
+    sol = solve()
+    assert not sol.arc_flows.flags.writeable
+    assert not sol.potentials.flags.writeable
+
+
 def arc_list_connection(f):
     """`minimal_connection` through the arc-list csgraph solver: the complete
     bipartite graph as n_pos * n_neg source-major arcs.  Returns the edges,

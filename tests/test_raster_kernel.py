@@ -292,7 +292,7 @@ def test_cell_indices_tie_rule_and_scalar_case():
     flat = grid.cell_indices(points)
     assert flat.tolist() == [0, 4, 15, 0, 6]
     for p, expected in zip(points, flat):
-        assert grid.flat_index(grid.cell_index(p)) == expected
+        assert grid.cell_indices(p) == expected
 
 
 def test_zero_length_segment_is_one_piece():
