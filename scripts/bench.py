@@ -15,25 +15,31 @@ median.  Cases:
 * ``dual_potential`` and ``flat_norm`` (``max`` and ``sum``) at 100 / 160 /
   400 / 800 atoms.  Each of the ``--repeats`` runs is one timed call after a
   warm-up call in its own child process, which also reports its peak RSS
-  (numpy and scipy included); the case gives the medians;
+  (numpy and scipy, where loaded, included); the case gives the medians.
+  ``dual_potential`` and the ``sum`` flat norm are the row-generated LP;
+  the ``max`` flat norm is the ground transport, which keeps these cases so
+  that it compares with the LP it replaced;
 * ``load_document`` of a seeded 2,000-segment polyline document (100
   random walks of 20 segments from ``perfbench/workloads.py``, plus its 10
   vector atoms) and of the seeded 2,000-atom document: JSON parsing,
   validation, atom merging and the segment-overlap check;
 * ``minimal_connection`` at 100 / 200 / 400 / 800 / 1200 atoms, and on
   400 + 400 unit masses (the same seeded points, masses +1 and -1);
-* ``solve_beckmann`` on the complete graph at 100 / 200 atoms, and on 64²,
-  128² with diagonals and 256² grids over 36 atoms in the unit box and a
-  32³ grid with diagonals (the 26-neighbour stencil) over 36 atoms in the
-  unit cube (the network is built outside the timed call);
+* ``solve_beckmann`` on the complete graph at 100 / 200 / 400 atoms (the
+  dense numpy solver, ``mincostflow.solve_complete``), and on 64², 128² with
+  diagonals and 256² grids over 36 atoms in the unit box and a 32³ grid with
+  diagonals (the 26-neighbour stencil) over 36 atoms in the unit cube (the
+  network is built outside the timed call);
 * ``rasterize_vector_measure`` of a seeded cell field (standard normal
   vectors) onto a grid of the same shape on the unit box, at 256² and 32³;
 * the CLI report path at scale: ``tranship beckmann --grid 256x256`` over the
-  36-atom instance and ``tranship connect`` at 800 atoms, each through
+  36-atom instance, ``tranship connect`` at 800 atoms, ``tranship beckmann``
+  (the complete network) at 400 atoms and ``tranship flatnorm --convention
+  max`` (the ground transport) at 800 atoms, each through
   ``tranship.cli.run`` with ``--out`` into a temporary directory.  Each of
   the ``--repeats`` runs is one call in its own child process, which reports
-  the call's time, its peak RSS and the report's sha256; the case gives the
-  medians.
+  the call's time, its peak RSS, the report's sha256 and its value (``cost``
+  or ``value``); the case gives the medians.
 
 Peak RSS is the child's ``ru_maxrss``.  A child started by vfork+exec
 inherits its parent's high-water mark, so the child cases run before the
@@ -80,11 +86,16 @@ UNIT_FLOW_SIZE = 800
 # (shape, diagonals) of the solve_beckmann grid cases
 GRIDS = (((64, 64), False), ((128, 128), True), ((256, 256), False), ((32, 32, 32), True))
 GRID_ATOMS = 36
-COMPLETE_SIZES = (100, 200)
+COMPLETE_SIZES = (100, 200, 400)
 # shapes of the rasterized cell fields, each onto a grid of its own shape
 CELL_FIELDS = ((256, 256), (32, 32, 32))
 # command line -> atoms in its document
-CLI_CASES = (("beckmann --grid 256x256", GRID_ATOMS), ("connect", 800))
+CLI_CASES = (
+    ("beckmann --grid 256x256", GRID_ATOMS),
+    ("connect", 800),
+    ("beckmann", 400),
+    ("flatnorm --convention max", 800),
+)
 LOAD_ATOMS = 2000
 LOAD_POLYLINES = (100, 20)  # walks, segments per walk
 STARTUP_CASES = (("--help", 0), ("connect", 100))
@@ -122,8 +133,9 @@ LP_SOLVERS = {
 
 
 def lp_case(solver: str, n: int, seed: int) -> dict:
-    """One timed LP call after a warm-up call in this process; run it in a
-    fresh child for its RSS."""
+    """One timed call of an ``LP_SOLVERS`` case (the ``max`` flat norm is a
+    transport now) after a warm-up call in this process; run it in a fresh
+    child for its RSS."""
     f = instance(n, seed)
     elapsed, _times, value = timed(lambda: LP_SOLVERS[solver](f), 1)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MIB
@@ -176,10 +188,11 @@ def cli_case(command: str, n: int, seed: int) -> dict:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MIB
         with open(out_path, "rb") as fh:
             report = fh.read()
+    values = json.loads(report)["values"]
     return {"case": f"cli {command}", "atoms": n, "exit": status,
             "time_s": elapsed, "peak_rss_mib": peak, "report_mib": len(report) / MIB,
             "report_sha256": hashlib.sha256(report).hexdigest(),
-            "value": json.loads(report)["values"]["cost"]}
+            "value": values["cost"] if "cost" in values else values["value"]}
 
 
 def child_cases(seed: int, repeats: int):

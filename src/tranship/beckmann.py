@@ -7,10 +7,12 @@ distorts Euclidean cost by a known anisotropy factor, reported rather than
 hidden).
 
 :func:`solve_beckmann` picks its solver by how the network was built, never
-by its size.  A network from :func:`complete_network`, or one built by hand,
-is solved on its arc list by
-:func:`~tranship.mincostflow.solve_min_cost_flow` (the graph-flow route,
-with scipy's Dijkstra).  A network from :func:`grid_network` records its
+by its size.  A network whose edges are those of :func:`complete_network`
+(``np.triu_indices(n, 1)``, read from the edge list) is solved on the dense
+matrix of its lengths by :func:`~tranship.mincostflow.solve_complete` (the
+graph-flow route), with numpy alone.  One built by hand is solved on its arc
+list by :func:`~tranship.mincostflow.solve_min_cost_flow`, with scipy's
+Dijkstra.  A network from :func:`grid_network` records its
 :class:`~tranship.geom.Grid` and stencil and is solved in the grid's
 closed-form metric, with numpy alone.  On an uncapacitated graph the minimal
 flow is the transport between the supply nodes and the demand nodes, each
@@ -33,7 +35,7 @@ solve is:
    returns (:func:`~tranship.geom.c_transform`); it is feasible on every
    edge and tight along every routed path.
 
-Both solvers give the cost as the left-to-right sum of ``|flow| * length``
+Every solver gives the cost as the left-to-right sum of ``|flow| * length``
 over the carrying edges (:func:`~tranship.geom.ordered_sum`).
 """
 
@@ -47,7 +49,7 @@ import numpy as np
 from .errors import ValidationError
 from .geom import Domain, Grid, bin_sums, dists, ordered_sum
 from .measures import BALANCE_RTOL, SignedAtomMeasure, StructuredVectorMeasure
-from .mincostflow import ZERO_SUPPLY_RTOL, solve_min_cost_flow, transport
+from .mincostflow import ZERO_SUPPLY_RTOL, solve_complete, solve_min_cost_flow, transport
 
 __all__ = [
     "FlowNetwork",
@@ -196,13 +198,17 @@ def solve_beckmann(net: FlowNetwork) -> Flow:
 
     On the complete Euclidean graph over an atom support the cost equals the
     Kantorovich norm of the supply measure.  A network from
-    :func:`grid_network` is solved in its closed-form grid metric, any other
-    by :func:`~tranship.mincostflow.solve_min_cost_flow` (see the module
+    :func:`grid_network` is solved in its closed-form grid metric, one with
+    the edges of :func:`complete_network` by
+    :func:`~tranship.mincostflow.solve_complete`, any other by
+    :func:`~tranship.mincostflow.solve_min_cost_flow` (see the module
     docstring).  Raises :class:`~tranship.errors.InfeasibleFlowError` when
     supply is disconnected from demand.
     """
     if net.grid is not None:
         edge_flows, potentials = _solve_on_grid(net)
+    elif _is_complete(net):
+        edge_flows, potentials = _solve_complete(net)
     else:
         m = net.edges.shape[0]
         arcs = np.empty((2 * m, 2), dtype=int)
@@ -217,6 +223,24 @@ def solve_beckmann(net: FlowNetwork) -> Flow:
     edge_flows.setflags(write=False)
     potentials.setflags(write=False)
     return Flow(edge_flows=edge_flows, potentials=potentials, cost=cost)
+
+
+def _is_complete(net: FlowNetwork) -> bool:
+    """Whether the edges are those of :func:`complete_network`: every pair
+    ``i < j`` once, in the order of ``np.triu_indices``."""
+    return np.array_equal(net.edges, np.column_stack(np.triu_indices(net.n_nodes, 1)))
+
+
+def _solve_complete(net: FlowNetwork):
+    """Edge flows and node potentials of a complete network: both directions
+    of every edge on the dense matrix of the lengths."""
+    n = net.n_nodes
+    i, j = net.edges.T
+    cost = np.zeros((n, n))
+    cost[i, j] = cost[j, i] = net.lengths
+    sol = solve_complete(cost, net.supply)
+    flows = sol.arc_flows.reshape(n, n)
+    return flows[i, j] - flows[j, i], sol.potentials
 
 
 def _solve_on_grid(net: FlowNetwork):

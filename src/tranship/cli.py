@@ -186,6 +186,10 @@ def _cmd_dual(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | byt
 
 
 def _cmd_flatnorm(doc: ProblemDocument, args, report: dict) -> tuple[int, dict | bytes]:
+    """The ``max`` value is a flow's cost, so its potential must pair with
+    the masses to it: the duality gap is gated as ``connect``'s is."""
+    import numpy as np
+
     from . import matchnorm as mn
 
     f = doc.atom_distribution().measure_part
@@ -193,6 +197,11 @@ def _cmd_flatnorm(doc: ProblemDocument, args, report: dict) -> tuple[int, dict |
     report["values"]["value"] = value
     report["values"]["convention"] = args.convention
     report["certificates"]["potential"] = _table(point=f.points, value=u)
+    if args.convention == "max":
+        gap = abs(value - float(np.sum(f.masses * u)))
+        report["residuals"]["duality_gap"] = gap
+        if gap > args.tol_abs + args.tol_rel * max(1.0, abs(value)):
+            return EXIT_VERIFICATION, report
     return EXIT_OK, report
 
 

@@ -14,9 +14,11 @@ and cell-field resampling all check through :meth:`Domain.require_inside`
 (:meth:`Domain.contains` is its boolean form), so whatever a document
 accepts a grid accepts too, binned into the boundary cell.
 :func:`bin_sums` is the one binned sum, always float64.  :func:`row_blocks`
-splits a row-wise kernel into blocks of ``_BLOCK_BYTES``; :func:`c_transform`,
-the one c-transform, and the cell pairing of :func:`~tranship.measures.pair`
-run through it.
+splits a row-wise kernel into blocks of ``_BLOCK_BYTES``; :func:`pair_costs`,
+the one sources-by-sinks cost build, :func:`c_transform`, the one
+c-transform, the cell pairing of :func:`~tranship.measures.pair` and the
+modulus check of :func:`~tranship.sharpspace.verify_modulus_bound` run
+through it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "dist",
     "dists",
     "ordered_sum",
+    "pair_costs",
     "row_blocks",
     "vec_norm",
     "Domain",
@@ -98,6 +101,19 @@ def row_blocks(n_rows: int, row_bytes: int):
     that computes each row on its own keeps its bits whatever the block."""
     rows = max(1, _BLOCK_BYTES // row_bytes)
     return [slice(start, start + rows) for start in range(0, n_rows, rows)]
+
+
+def pair_costs(sources, sinks, metric=dists, out=None) -> np.ndarray:
+    """The (sources, sinks) matrix of ``metric(x, t)`` over the rows x of
+    `sources` and t of `sinks`, with `metric` broadcasting like
+    :func:`dists`, in :func:`row_blocks` whose (rows, sinks, dim) arrays take
+    ``_BLOCK_BYTES``; written into `out` when given."""
+    if out is None:
+        out = np.empty((len(sources), len(sinks)))
+    if len(sinks):
+        for rows in row_blocks(len(sources), 8 * sinks.size):
+            out[rows] = metric(sources[rows][:, None], sinks[None])
+    return out
 
 
 def c_transform(points, sinks, values, metric=dists) -> np.ndarray:

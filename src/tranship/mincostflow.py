@@ -1,12 +1,17 @@
 """Uncapacitated min-cost flow by successive shortest paths in phases.
 
-One phase loop (:func:`_phases`) serves two solvers, which differ only in
+One phase loop (:func:`_phases`) serves three solvers, which differ only in
 how a phase finds its shortest paths:
 
-* :func:`solve_min_cost_flow` takes any directed arc list and serves the
-  graph-flow route: :func:`~tranship.beckmann.solve_beckmann` on complete
-  networks and on networks built by hand.  Its shortest paths come from
-  :func:`scipy.sparse.csgraph.dijkstra`.
+* :func:`solve_min_cost_flow` takes any directed arc list and serves
+  :func:`~tranship.beckmann.solve_beckmann` on networks built by hand.  Its
+  shortest paths come from :func:`scipy.sparse.csgraph.dijkstra`.  It is
+  also the tests' bit reference for the other two.
+* :func:`solve_complete` takes the cost matrix of a complete directed graph
+  and serves the graph-flow route,
+  :func:`~tranship.beckmann.solve_beckmann` on complete networks.  It needs
+  numpy alone and returns the bits :func:`solve_min_cost_flow` returns on
+  the same graph wherever no two shortest-path distances tie exactly.
 * :func:`solve_transport` takes the cost matrix of a complete bipartite
   graph from sources to sinks.  It needs numpy alone, builds no arc list,
   and returns the bits :func:`solve_min_cost_flow` returns on the same
@@ -15,7 +20,9 @@ how a phase finds its shortest paths:
   route (:func:`~tranship.matchnorm.minimal_connection`, Euclidean costs)
   and :func:`~tranship.beckmann.solve_beckmann` on grid networks, whose
   costs are the grid-graph distances between supply and demand cells (the
-  metric and the path routing are in :mod:`tranship.beckmann`).
+  metric and the path routing are in :mod:`tranship.beckmann`).  The
+  ``max`` flat norm solves its ground transport with it too
+  (:func:`~tranship.matchnorm.flat_norm`).
 
 The phase contract.  Both work on arcs with nonnegative costs, from zero
 flow and zero potentials.  Node potentials ``u`` keep every residual reduced
@@ -50,22 +57,32 @@ that hold no residual arc, and Dijkstra never improves a label through an
 infinite edge.  :func:`solve_transport` keeps the dense reduced-cost matrix
 and relaxes a settled source's whole row at once
 (:func:`_bipartite_dijkstra`, the dense row relaxation of Jonker &
-Volgenant, *Computing* 38, 1987).
+Volgenant, *Computing* 38, 1987).  :func:`solve_complete` keeps the dense
+residual matrix and settles its nodes by levels of equal distance, each
+level's rows relaxed at once (:func:`_dense_dijkstra`).
 
 :mod:`scipy.sparse.csgraph` is imported inside :func:`solve_min_cost_flow`,
-so importing this module, or calling :func:`transport`, loads no scipy.
+so importing this module, or calling :func:`transport`,
+:func:`solve_transport` or :func:`solve_complete`, loads no scipy.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleFlowError, ValidationError, VerificationError
-from .geom import c_transform, dists
+from .geom import c_transform, dists, pair_costs
 
-__all__ = ["FlowSolution", "solve_min_cost_flow", "solve_transport", "transport"]
+__all__ = [
+    "FlowSolution",
+    "solve_complete",
+    "solve_min_cost_flow",
+    "solve_transport",
+    "transport",
+]
 
 _MAX_AUGMENTATIONS_FACTOR = 16
 # supply or excess at most this times the supplies' total magnitude counts as 0
@@ -238,6 +255,84 @@ def solve_transport(cost, supply) -> FlowSolution:
     return _phases(supply, p * q, step)
 
 
+def solve_complete(cost, supply) -> FlowSolution:
+    """Route `supply` over the complete directed graph on ``n`` nodes at
+    minimum total cost, with numpy alone.
+
+    The result is :func:`solve_min_cost_flow`'s on the arcs ``(i, j)``,
+    ``i != j``, with costs ``cost[i, j]``: the same phases, the same forest
+    paths and the same bits, unless shortest-path distances tie exactly
+    (atoms on a lattice), where csgraph's heap may settle tied nodes in
+    another order and either solver returns another optimum.  Each phase is
+    one multi-source Dijkstra over the dense matrix of clamped residual
+    costs (:func:`_dense_dijkstra`) instead of a CSR, and no arc list is
+    built.
+
+    Parameters
+    ----------
+    cost : (n, n) finite nonnegative arc costs, ``cost[i, j]`` from node i
+        to node j; the diagonal is not an arc
+    supply : (n,) signed reals summing to ~0
+
+    Returns
+    -------
+    FlowSolution
+        ``arc_flows`` has the ``n * n`` arcs ``i * n + j`` in row-major
+        order; the diagonal ones carry no flow.
+
+    Raises
+    ------
+    VerificationError
+        If the augmentation limit is exceeded (numerically inconsistent
+        supplies).
+    """
+    cost = np.asarray(cost, dtype=float)
+    supply = np.asarray(supply, dtype=float).ravel()
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValidationError("complete-graph costs must be a square (nodes, nodes) matrix")
+    n = len(cost)
+    if supply.size != n:
+        raise ValidationError("supply length does not match node count")
+    if not np.all((cost >= 0.0) & (cost < np.inf)):
+        raise ValidationError("arc costs must be finite and nonnegative")
+
+    dearest = cost.max(initial=0.0)
+    reduced = np.empty((n, n))
+    residual = np.empty((n, n))
+    canceling = np.zeros(n * n, dtype=bool)  # the residual slots of this phase's canceling arcs
+
+    def step(potential, flow, roots):
+        # the reduced costs in solve_min_cost_flow's order of operations
+        np.subtract(cost, potential[:, None], out=reduced)
+        np.add(reduced, potential, out=reduced)
+        np.maximum(reduced, 0.0, out=residual)
+        # the canceling arc j -> i of a flow-carrying arc i -> j wins ties
+        carrying = np.flatnonzero(flow > 0.0)
+        cancel_cost = np.maximum(-reduced.ravel()[carrying], 0.0)
+        tails, heads = np.divmod(carrying, n)
+        wins = cancel_cost <= residual[heads, tails]
+        won = heads[wins] * n + tails[wins]
+        residual.ravel()[won] = cancel_cost[wins]
+        residual.ravel()[:: n + 1] = np.inf
+        # no residual cost exceeds the dearest arc plus the potentials' spread
+        longest = dearest + (potential.max(initial=0.0) - potential.min(initial=0.0))
+        dist, pred = _dense_dijkstra(residual, roots, longest)
+
+        # forest arcs: i -> j is arc i * n + j, and the arc canceling it is
+        # numbered n * n past it
+        child = np.flatnonzero(pred >= 0)
+        tree_key = pred[child] * n + child
+        tree_arc = np.full(n, -1)
+        tree_arc[child] = tree_key
+        canceling[won] = True
+        back = child[canceling[tree_key]]
+        canceling[won] = False
+        tree_arc[back] = flow.size + back * n + pred[back]
+        return dist, pred, tree_arc
+
+    return _phases(supply, n * n, step)
+
+
 def transport(points, supply, metric=dists):
     """Min-cost transport from the ``(n, dim)`` `points` of positive `supply`
     to those of negative supply at costs ``metric(x, t)``, which broadcasts
@@ -248,7 +343,7 @@ def transport(points, supply, metric=dists):
     which for a metric is 1-Lipschitz and tight on every pair."""
     pos = np.flatnonzero(supply > 0.0)
     neg = np.flatnonzero(supply < 0.0)
-    cost = metric(points[pos][:, None], points[neg][None])
+    cost = pair_costs(points[pos], points[neg], metric)
     sol = solve_transport(cost, supply[np.r_[pos, neg]])
     carrying = np.flatnonzero(sol.arc_flows > 0.0)
     src, dst = np.divmod(carrying, neg.size)
@@ -324,6 +419,74 @@ def _bipartite_dijkstra(reduced, carrying, cancel_cost, roots):
     labels = reduced[settled]
     labels += source_dist[settled, None]
     pred[p:] = settled[np.argmax(labels == sink_dist, axis=0)]
+    return dist, pred
+
+
+def _dense_dijkstra(residual, roots, longest):
+    """Shortest distances from the nodes where `roots` is true over the
+    dense matrix `residual` of arc costs (``inf`` where there is no arc, at
+    most `longest` elsewhere), with their forest.
+
+    The node with the least label settles first, the lowest index on ties,
+    and relaxes its whole row.  A label improves only when it falls
+    strictly, so a node's predecessor is the first settled node that gave it
+    its distance.  Returns the distances (``inf`` where not reached) and
+    predecessors (-1 at roots and unreached nodes).
+
+    Most labels tie, since most reduced costs are clamped to 0, so the nodes
+    settle by levels: every node of distance ``d`` settles before the
+    level's rows are relaxed at once.  A level is found by a search that
+    always settles the lowest-index node it has found, over the arcs with
+    ``d + cost == d``: it starts from the nodes with label ``d`` and follows
+    such arcs.  That is the order of settling one node at a time, and taking
+    each label from the first row of the level with the least label gives
+    the same labels and predecessors.
+    """
+    n = len(residual)
+    dist = np.where(roots, 0.0, np.inf)
+    pred = np.full(n, -1)
+    # the settle keys: a node's label plus `closed`, which is inf once the
+    # node settled
+    key = dist.copy()
+    closed = np.zeros(n)
+    # every arc that can tie at some distance: those no longer than the
+    # spacing at the largest possible distance, by tail
+    tails, heads = (residual <= np.spacing(2.0 * n * longest)).nonzero()
+    costs = residual[tails, heads].tolist()
+    first = np.searchsorted(tails, np.arange(n + 1)).tolist()
+    heads = heads.tolist()
+    seen = [False] * n  # settled, or found by the current level's search
+    heappop, heappush, inf = heapq.heappop, heapq.heappush, np.inf
+    while True:
+        d = float(key.min(initial=inf))
+        if d == inf:
+            break
+        found = (key == d).nonzero()[0].tolist()  # sorted, so it is a heap
+        for x in found:
+            seen[x] = True
+        level = []
+        while found:
+            x = heappop(found)
+            level.append(x)
+            for k in range(first[x], first[x + 1]):
+                z = heads[k]
+                if not seen[z] and d + costs[k] == d:
+                    seen[z] = True
+                    heappush(found, z)
+        if len(level) == 1:  # common; a lone row needs no gather and no argmin
+            (x,) = level
+            label = residual[x] + d
+            pred[label < dist] = x
+        else:
+            level = np.array(level)
+            labels = residual.take(level, axis=0)
+            labels += d
+            label = labels.min(axis=0)
+            better = label < dist
+            pred[better] = level.take(labels.argmin(axis=0))[better]
+        np.minimum(dist, label, out=dist)
+        closed[level] = inf
+        np.add(dist, closed, out=key)
     return dist, pred
 
 

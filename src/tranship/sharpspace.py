@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError, VerificationError
 from .genplan import plan_from_matching, plan_from_vector_measure, split
-from .geom import dist, dists, vec_norm
+from .geom import dist, dists, row_blocks, vec_norm
 from .matchnorm import Matching, minimal_connection
 from .measures import (
     Distribution,
@@ -362,14 +362,18 @@ def verify_modulus_bound(
         b[i] = rng.uniform(-1.0, 1.0)
         cap[i] = rng.uniform(0.3, 0.9) * max(float(np.abs(corners @ w[i] + b[i]).max()), 1e-6)
 
-    def u(points):  # every function at every point: (..., functions)
-        return np.clip(np.vecdot(points[..., None, :], w) + b, -cap, cap)
+    def u(points, cols=slice(None)):  # the functions `cols` at every point: (..., functions)
+        return np.clip(np.vecdot(points[..., None, :], w[cols]) + b[cols], -cap[cols], cap[cols])
 
     at_corners = u(corners)
     sup = np.max(np.abs(at_corners), axis=0)
     lip = np.where(np.all(at_corners == at_corners[0], axis=0), 0.0, dists(w, 0.0))
-    values = u(chain.pairs)
-    pairing = np.cumsum(values[:, 0] - values[:, 1], axis=0)[-1] + 0.0
+    # each function's pairing is its own in-order sum, so blocks of
+    # functions keep the bits and bound the (pairs, 2, functions) values
+    pairing = np.empty(n)
+    for cols in row_blocks(n, 8 * chain.pairs.size):
+        values = u(chain.pairs, cols)
+        pairing[cols] = np.cumsum(values[:, 0] - values[:, 1], axis=0)[-1] + 0.0
     eps, c_const = (np.repeat([sample[k] for sample in curve.samples], n_samples) for k in (0, 1))
     lhs = np.abs(pairing) + chain.tail_bound(len(chain)) * lip
     return float(np.max(lhs - (c_const * sup + eps * lip), initial=-np.inf))

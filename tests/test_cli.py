@@ -144,6 +144,37 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["values"]["value"] - 1.0) <= 1e-9
 
+    def test_flatnorm_max_gates_its_duality_gap(self, tmp_path, capsys, monkeypatch):
+        # the max flat norm is a flow's cost: its potential must pair with
+        # the masses to it within --tol-abs/--tol-rel, or the command exits 4
+        from tranship import matchnorm, mincostflow
+
+        doc = {"version": 1, "atoms": [
+            {"point": [0.0, 0.0], "mass": 1.0},
+            {"point": [0.5, 0.0], "mass": -0.25},
+            {"point": [4.0, 0.0], "mass": -0.5},
+        ]}
+        path = write_doc(tmp_path, doc)
+        assert run(["flatnorm", path, "--convention", "max"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["values"]["value"] == 1.375  # 0.25 * 0.5 + 0.5 + 0.25 + 0.5
+        assert report["residuals"]["duality_gap"] <= 1e-15
+
+        solve = mincostflow.solve_transport
+
+        def doubled(cost, supply):
+            sol = solve(cost, supply)
+            return mincostflow.FlowSolution(2.0 * sol.arc_flows, sol.potentials)
+
+        monkeypatch.setattr(matchnorm, "solve_transport", doubled)
+        assert run(["flatnorm", path, "--convention", "max"]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["values"]["value"] == 2.75
+        assert report["residuals"]["duality_gap"] == 1.375
+        # the sum convention is an LP, whose value is its potential's pairing
+        assert run(["flatnorm", path, "--convention", "sum"]) == 0
+        assert "duality_gap" not in json.loads(capsys.readouterr().out)["residuals"]
+
     def test_beckmann_grid(self, tmp_path, capsys):
         doc = {
             "version": 1,

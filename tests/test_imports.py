@@ -131,14 +131,13 @@ def test_beckmann_grid_loads_no_scipy(tmp_path, flags):
     assert report_warnings(out) == []
 
 
-def test_beckmann_complete_graph_loads_only_csgraph(tmp_path):
-    # the graph-flow route keeps scipy's Dijkstra, apart from the matching route
+def test_beckmann_complete_graph_loads_no_scipy(tmp_path):
+    # the complete network is solved by the dense numpy Dijkstra, not csgraph
     path = write_doc(tmp_path, DISTINCT_DOC)
     out = str(tmp_path / "report.out")
     result = run_command(["beckmann", path, "--out", out])
-    assert result["status"] == 0
-    assert "scipy.sparse.csgraph" in result["scipy"]
-    assert not loads(result["scipy"], "scipy.optimize")
+    assert result == {"status": 0, "numpy": True, "scipy": []}
+    assert report_warnings(out) == []
 
 
 @pytest.mark.parametrize(
@@ -148,12 +147,13 @@ def test_beckmann_complete_graph_loads_only_csgraph(tmp_path):
         (EQUAL_DOC, ["connect"]),
         (DECOMPOSE_DOC, ["decompose"]),
         (DISTINCT_DOC, ["density", "--grid", "4x4"]),
+        (DISTINCT_DOC, ["flatnorm", "--convention", "max"]),
     ],
-    ids=["connect-distinct", "connect-equal", "decompose", "density-atoms"],
+    ids=["connect-distinct", "connect-equal", "decompose", "density-atoms", "flatnorm-max"],
 )
 def test_flow_certified_commands_load_no_optimize(tmp_path, doc, args):
-    # the matching route solves with numpy alone, and the certificate is the
-    # flow's own potential: no scipy at all
+    # the matching route and the max flat norm solve transports with numpy
+    # alone, and the certificate is the flow's own potential: no scipy at all
     path = write_doc(tmp_path, doc)
     out = str(tmp_path / "report.out")
     result = run_command([args[0], path, *args[1:], "--out", out])
@@ -199,9 +199,7 @@ def test_commands_load_only_their_solver_modules(tmp_path, doc, args, solvers):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["dual"], ["flatnorm", "--convention", "max"], ["flatnorm", "--convention", "sum"]],
-    ids=["dual", "flatnorm", "flatnorm-sum"],
+    "args", [["dual"], ["flatnorm", "--convention", "sum"]], ids=["dual", "flatnorm-sum"]
 )
 def test_lp_commands_load_optimize(tmp_path, args):
     path = write_doc(tmp_path, DISTINCT_DOC)
@@ -209,7 +207,20 @@ def test_lp_commands_load_optimize(tmp_path, args):
     result = run_command([args[0], path, *args[1:], "--out", out])
     assert result["status"] == 0
     assert loads(result["scipy"], "scipy.optimize")
+    assert not loads(result["scipy"], "scipy.sparse.csgraph")
     assert report_warnings(out) == []
+
+
+def test_selftest_loads_optimize_but_no_csgraph():
+    # its duality suite runs the dual LP; the complete-graph flow it
+    # cross-checks against needs no scipy
+    result = modules_after(
+        "import contextlib, io\nfrom tranship.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    status = run(['selftest'])"
+    )
+    assert result["status"] == 0
+    assert loads(result["scipy"], "scipy.optimize")
+    assert not loads(result["scipy"], "scipy.sparse.csgraph")
 
 
 # the package's exports before they became lazy, by defining module

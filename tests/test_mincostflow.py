@@ -4,14 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from tranship import mincostflow
-from tranship.beckmann import complete_network, grid_network, solve_beckmann
+from tranship import beckmann, mincostflow
+from tranship.beckmann import FlowNetwork, complete_network, grid_network, solve_beckmann
 from tranship.cli import run
 from tranship.errors import InfeasibleFlowError, ValidationError, VerificationError
 from tranship.geom import Domain, c_transform, dists, ordered_sum
 from tranship.matchnorm import dual_potential, minimal_connection
 from tranship.measures import SignedAtomMeasure, StructuredVectorMeasure, divergence_as_measure
-from tranship.mincostflow import solve_min_cost_flow, solve_transport
+from tranship.mincostflow import solve_complete, solve_min_cost_flow, solve_transport
 from tranship.testing import random_balanced_measure
 
 
@@ -146,6 +146,23 @@ class TestFailures:
         with pytest.raises(VerificationError, match="augmentation limit"):
             solve_transport(np.ones((1, 1)), np.array([1.0, -1.0]))
 
+    def test_complete_augmentation_limit(self, monkeypatch):
+        monkeypatch.setattr(mincostflow, "_MAX_AUGMENTATIONS_FACTOR", 0)
+        with pytest.raises(VerificationError, match="augmentation limit"):
+            solve_complete(np.ones((2, 2)), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("cost, supply, message", [
+        (np.ones(2), np.array([1.0, -1.0]), "square"),
+        (np.ones((2, 3)), np.array([1.0, -1.0]), "square"),
+        (np.ones((2, 2)), np.array([1.0, -0.5, -0.5]), "node count"),
+        (-np.ones((2, 2)), np.array([1.0, -1.0]), "nonnegative"),
+        (np.full((2, 2), np.inf), np.array([1.0, -1.0]), "finite"),
+        (np.full((2, 2), np.nan), np.array([1.0, -1.0]), "finite"),
+    ], ids=["vector", "rectangle", "supply-length", "negative-cost", "inf-cost", "nan-cost"])
+    def test_complete_rejects_bad_input(self, cost, supply, message):
+        with pytest.raises(ValidationError, match=message):
+            solve_complete(cost, supply)
+
     @pytest.mark.parametrize("cost, supply, message", [
         (np.ones(2), np.array([1.0, -1.0]), "matrix"),
         (np.ones((1, 1)), np.array([1.0, -0.5, -0.5]), "node count"),
@@ -241,7 +258,9 @@ def test_transport_has_the_pinned_bits(seed):
     lambda: solve_min_cost_flow(2, np.zeros((0, 2)), np.zeros(0), np.zeros(2)),
     lambda: solve_transport([[1.0, 2.0]], [1.0, -0.5, -0.5]),
     lambda: solve_transport(np.zeros((0, 0)), np.zeros(0)),
-], ids=["arc-list", "arc-list-empty", "transport", "transport-empty"])
+    lambda: solve_complete([[0.0, 1.0], [2.0, 0.0]], [1.0, -1.0]),
+    lambda: solve_complete(np.zeros((0, 0)), np.zeros(0)),
+], ids=["arc-list", "arc-list-empty", "transport", "transport-empty", "complete", "complete-empty"])
 def test_solutions_are_read_only(solve):
     # the one phase loop returns both arrays read-only, whichever solver asked
     sol = solve()
@@ -330,3 +349,125 @@ def test_three_routes_agree_at_210_atoms():
     flow = solve_beckmann(complete_network(f))
     assert abs(dual_value - cost) <= 1e-7 * cost
     assert abs(flow.cost - cost) <= 1e-7 * cost
+
+
+def arc_list_beckmann(net):
+    """`solve_beckmann` of a complete network through the arc-list csgraph
+    solver, on both directions of every edge.  Returns the edge flows and
+    the potentials."""
+    arcs, costs = both_directions(net)
+    m = net.edges.shape[0]
+    sol = solve_min_cost_flow(net.n_nodes, arcs, costs, net.supply)
+    return sol.arc_flows[:m] - sol.arc_flows[m:], sol.potentials
+
+
+def one_node_network(rng):
+    return FlowNetwork(points=rng.uniform(size=(1, 2)), edges=np.zeros((0, 2), dtype=int),
+                       lengths=np.zeros(0), supply=[0.0])
+
+
+COMPLETE_NETWORKS = {
+    **{kind: lambda rng, kind=kind: complete_network(ROUTE_INSTANCES[kind](rng))
+       for kind in ROUTE_INSTANCES},
+    "empty": lambda rng: complete_network(SignedAtomMeasure.empty()),
+    "one-node": one_node_network,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPLETE_NETWORKS))
+def test_complete_route_keeps_the_arc_list_bits(kind):
+    # solve_beckmann solves a complete network with the dense solve_complete;
+    # it returns the bits of the csgraph solver on the same arcs
+    for seed in range(4):
+        net = COMPLETE_NETWORKS[kind](np.random.default_rng([seed, 28]))
+        edge_flows, potentials = arc_list_beckmann(net)
+        flow = solve_beckmann(net)
+        assert flow.edge_flows.tobytes() == edge_flows.tobytes()
+        assert flow.potentials.tobytes() == potentials.tobytes()
+        carrying = np.flatnonzero(edge_flows)
+        assert flow.cost == ordered_sum(np.abs(edge_flows[carrying]) * net.lengths[carrying])
+
+
+def test_only_complete_networks_take_the_dense_solver(monkeypatch):
+    # the route is read from the edge list: the same graph with its edges in
+    # another order is solved on its arc list, with the same cost
+    calls = []
+    arc_list = beckmann.solve_min_cost_flow
+    monkeypatch.setattr(beckmann, "solve_min_cost_flow",
+                        lambda *args: calls.append(len(args[1])) or arc_list(*args))
+    f = random_balanced_measure(np.random.default_rng(2028), max_pairs=8)
+    net = complete_network(f)
+    dense = solve_beckmann(net)
+    assert calls == []
+    shuffled = FlowNetwork(net.points, net.edges[::-1], net.lengths[::-1], net.supply)
+    by_arcs = solve_beckmann(shuffled)
+    assert calls == [2 * net.edges.shape[0]]
+    assert abs(by_arcs.cost - dense.cost) <= 1e-12 * dense.cost
+    assert np.array_equal(by_arcs.edge_flows[::-1], dense.edge_flows)
+
+
+def lattice_network(rng):
+    """Unit dipoles on a scaled 6 x 6 lattice: exact distance ties, where
+    csgraph's heap may settle tied nodes in another order."""
+    lattice = np.indices((6, 6)).reshape(2, -1).T.astype(float)
+    k = int(rng.integers(1, 10))
+    pts = lattice[rng.choice(36, size=2 * k, replace=False)] * rng.choice([0.1, 0.37, 1.0])
+    return complete_network(SignedAtomMeasure(pts, np.r_[np.ones(k), -np.ones(k)]))
+
+
+def test_complete_solver_is_certified_on_tied_lattices():
+    # with ties the dense solver may return another optimum than csgraph:
+    # its own certificate holds and the costs agree to roundoff
+    rng = np.random.default_rng(2029)
+    for _ in range(200):
+        net = lattice_network(rng)
+        n, (i, j) = net.n_nodes, net.edges.T
+        cost = np.zeros((n, n))
+        cost[i, j] = cost[j, i] = net.lengths
+        sol = solve_complete(cost, net.supply)
+        arcs = np.column_stack(np.divmod(np.arange(n * n), n))
+        off = arcs[:, 0] != arcs[:, 1]
+        flows = mincostflow.FlowSolution(sol.arc_flows[off], sol.potentials)
+        assert_certified(n, arcs[off], cost.ravel()[off], net.supply, flows, tol=1e-12)
+        edge_flows, _ = arc_list_beckmann(net)
+        reference = ordered_sum(np.abs(edge_flows) * net.lengths)
+        assert abs(solve_beckmann(net).cost - reference) <= 8 * np.spacing(reference)
+
+
+def one_at_a_time_dijkstra(residual, roots):
+    """The rule `_dense_dijkstra` documents, one settled node per step: the
+    least label first, the lowest index on ties, a label improving only
+    when it falls strictly."""
+    n = len(residual)
+    dist = [0.0 if r else np.inf for r in roots.tolist()]
+    pred = [-1] * n
+    done = [False] * n
+    rows = residual.tolist()
+    while True:
+        x = min((v for v in range(n) if not done[v]), key=lambda v: (dist[v], v), default=None)
+        if x is None or dist[x] == np.inf:
+            break
+        done[x] = True
+        for z in range(n):
+            label = dist[x] + rows[x][z]
+            if not done[z] and label < dist[z]:
+                dist[z], pred[z] = label, x
+    return np.array(dist), np.array(pred)
+
+
+def test_dense_dijkstra_settles_levels_in_the_one_at_a_time_order():
+    # many zero arcs and arcs too short to change a sum (1e-18 against
+    # distances near 1) make levels of tied nodes, which the search must
+    # settle in the order of one node at a time
+    rng = np.random.default_rng(2030)
+    for trial in range(300):
+        n = int(rng.integers(1, 25))
+        residual = rng.choice([0.0, 1e-18, 0.25, 0.5, 1.0], size=(n, n), p=[0.3, 0.2, 0.2, 0.2, 0.1])
+        residual[rng.uniform(size=(n, n)) < 0.2] = np.inf
+        np.fill_diagonal(residual, np.inf)
+        roots = rng.uniform(size=n) < 0.3
+        roots[0] |= not roots.any()
+        dist, pred = mincostflow._dense_dijkstra(residual, roots, 1.0)
+        expected_dist, expected_pred = one_at_a_time_dijkstra(residual, roots)
+        assert dist.tobytes() == expected_dist.tobytes(), trial
+        assert np.array_equal(pred, expected_pred), trial

@@ -21,6 +21,7 @@ from tranship.measures import (
     pair,
 )
 from tranship.sharpspace import (
+    ModulusCurve,
     _separation_radius,
     additivity_witness,
     decompose,
@@ -479,3 +480,28 @@ class TestSplitProperties:
         nu = StructuredVectorMeasure.build(2, segments=segs, validate=False)
         parts = tangential_split(nu)
         assert -1e-15 <= parts.normal_mass <= nu.total_variation * (1 + 1e-12)
+
+
+# margins of verify_modulus_bound(chain, curve, n_samples=40, seed) for seeds
+# 0, 1, 2 on the chain below, recorded before the sampled functions were
+# evaluated in blocks
+BLOCKED_MARGINS = ["-0x1.d980aa7d98b05p+3", "-0x1.571ac07644664p+4", "-0x1.a6ebc85287ed5p+3"]
+
+
+def test_modulus_check_keeps_its_bits_in_blocks_of_one_function(monkeypatch):
+    # each sampled function's pairing is its own in-order sum, so the check
+    # evaluates them in geom.row_blocks; one-byte blocks (one function per
+    # block) must give the bits of the whole (pairs, 2, functions) array
+    from tranship import geom
+
+    rng = np.random.default_rng(20261020)
+    points = rng.uniform(size=(300, 2))
+    steps = 0.2 * 0.9 ** np.arange(300)[:, None] * rng.normal(size=(300, 2))
+    chain = DipoleChain(tuple(zip(points, points + steps)), tail=(0.9, 2.0))
+    curve = ModulusCurve(samples=((0.3, 38, 19), (0.01, 106, 53), (1e-4, 190, 95)))
+    margins = [verify_modulus_bound(chain, curve, n_samples=40, seed=s).hex() for s in range(3)]
+    assert margins == BLOCKED_MARGINS
+    monkeypatch.setattr(geom, "_BLOCK_BYTES", 1)
+    assert len(geom.row_blocks(120, 8 * chain.pairs.size)) == 120
+    margins = [verify_modulus_bound(chain, curve, n_samples=40, seed=s).hex() for s in range(3)]
+    assert margins == BLOCKED_MARGINS
