@@ -133,9 +133,9 @@ LP_SOLVERS = {
 
 
 def lp_case(solver: str, n: int, seed: int) -> dict:
-    """One timed call of an ``LP_SOLVERS`` case (the ``max`` flat norm is a
-    transport now) after a warm-up call in this process; run it in a fresh
-    child for its RSS."""
+    """One timed call of an ``LP_SOLVERS`` case (the ``max`` flat norm among
+    them is a transport) after a warm-up call in this process; run it in a
+    fresh child for its RSS."""
     f = instance(n, seed)
     elapsed, _times, value = timed(lambda: LP_SOLVERS[solver](f), 1)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / MIB

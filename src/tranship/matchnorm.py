@@ -259,8 +259,8 @@ def flat_norm(f: SignedAtomMeasure, convention: str = "max") -> float:
 
 def _flat_norm_lp(f: SignedAtomMeasure, convention: str):
     """``(value, potential)`` of the flat norm: :func:`_ground_transport`
-    for ``max``, the Lipschitz LP for ``sum``.  The name predates the flow
-    route; the benchmark's tracer times the flat norm under it."""
+    for ``max``, the Lipschitz LP for ``sum``.  The benchmark's tracer
+    (``perfbench/tracer.py``) times both conventions under this name."""
     if len(f) == 0:
         return 0.0, np.zeros(0)
     if convention == "sum":
