@@ -34,12 +34,14 @@ median.  Cases:
   vectors) onto a grid of the same shape on the unit box, at 256² and 32³;
 * the CLI report path at scale: ``tranship beckmann --grid 256x256`` over the
   36-atom instance, ``tranship connect`` at 800 atoms, ``tranship beckmann``
-  (the complete network) at 400 atoms and ``tranship flatnorm --convention
-  max`` (the ground transport) at 800 atoms, each through
-  ``tranship.cli.run`` with ``--out`` into a temporary directory.  Each of
-  the ``--repeats`` runs is one call in its own child process, which reports
-  the call's time, its peak RSS, the report's sha256 and its value (``cost``
-  or ``value``); the case gives the medians.
+  (the complete network) at 400 atoms, ``tranship flatnorm --convention
+  max`` (the ground transport) at 800 atoms, and the two LP commands,
+  ``tranship dual`` and ``tranship flatnorm --convention sum``, at 400 atoms,
+  each through ``tranship.cli.run`` with ``--out`` into a temporary
+  directory.  Each of the ``--repeats`` runs is one call in its own child
+  process, which reports the call's time (the LP commands' load of HiGHS's
+  bindings included), its peak RSS, the report's sha256 and its value
+  (``cost`` or ``value``); the case gives the medians.
 
 Peak RSS is the child's ``ru_maxrss``.  A child started by vfork+exec
 inherits its parent's high-water mark, so the child cases run before the
@@ -95,6 +97,8 @@ CLI_CASES = (
     ("connect", 800),
     ("beckmann", 400),
     ("flatnorm --convention max", 800),
+    ("dual", 400),
+    ("flatnorm --convention sum", 400),
 )
 LOAD_ATOMS = 2000
 LOAD_POLYLINES = (100, 20)  # walks, segments per walk

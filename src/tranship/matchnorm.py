@@ -26,17 +26,24 @@ few rows per atom instead of n.  The ``max`` flat norm is no LP here: it is
 a transport through one extra ground node (:func:`_ground_transport`),
 solved with :func:`~tranship.mincostflow.solve_transport`.
 
-The LP solver comes from :mod:`scipy.optimize`, which is imported on the
-first call of :func:`linprog`, so importing this module loads no scipy, and
-neither do :func:`minimal_connection` and the ``max`` flat norm.  The third
+The LP solver is HiGHS's dual simplex, called by :func:`linprog` through
+the bindings scipy ships (``scipy.optimize._highspy._core``).  They are
+loaded from their file on the first LP, without running ``scipy.optimize``'s
+package init, and pass HiGHS the model and options that
+``scipy.optimize.linprog(method="highs")`` does, so the optimum has its
+bits.  Importing this module loads no scipy, and neither do
+:func:`minimal_connection` and the ``max`` flat norm.  The third
 route, graph flow on the complete network (:mod:`tranship.beckmann`),
 solves with :func:`~tranship.mincostflow.solve_complete`, with numpy alone.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from itertools import permutations
 
 import numpy as np
@@ -56,21 +63,6 @@ __all__ = [
 ]
 
 
-# scipy.optimize takes about half a second to import, so it is loaded on the
-# first solve; the names stay module attributes so callers can rebind them
-# (linear_sum_assignment too, although no solver here calls it).
-def linprog(*args, **kwargs):
-    from scipy.optimize import linprog
-
-    return linprog(*args, **kwargs)
-
-
-def linear_sum_assignment(cost_matrix):
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(cost_matrix)
-
-
 # HiGHS's feasibility tolerances; row generation adds a pair when the optimum
 # violates its Lipschitz row by more than the same amount
 LP_FEASIBILITY_TOL = 1e-10
@@ -78,6 +70,130 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
     "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
 }
+# the HiGHS bindings that scipy ships, and the oldest scipy known to ship them
+# at that path with the interface used here
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_SCIPY_REQUIREMENT = "scipy>=1.17"
+# scipy.optimize.linprog's acceptance test: a bound or row violated by more
+# than this voids an optimal status
+_LP_CHECK_TOL = np.sqrt(1e-9) * 10
+
+
+@lru_cache(maxsize=1)
+def _highs():
+    """scipy's HiGHS bindings, loaded from their file.  Importing them by name
+    would first run ``scipy.optimize``'s package init, about 0.4 s of imports
+    (``scipy.linalg``, ``scipy.sparse``, ...) that the solve does not use."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy is not None:
+        folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+        finder = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_HIGHS_MODULE)
+    if spec is None:
+        raise TranshipError(
+            f"the LP solver needs {_SCIPY_REQUIREMENT}, whose HiGHS bindings {_HIGHS_MODULE}"
+            " were not found"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class LPResult:
+    """What :func:`linprog` returns: the optimum `x` and its objective `fun`
+    (both None on failure), the simplex iterations `nit`, and `success` with
+    a `message`."""
+
+    x: np.ndarray | None
+    fun: float | None
+    nit: int
+    success: bool
+    message: str
+
+
+def linprog(*, c, A_ub, b_ub, bounds) -> LPResult:
+    """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub`` and the column
+    `bounds` (``(lower, upper)`` pairs, None for no bound), with HiGHS's dual
+    simplex.
+
+    The model and options are the ones ``scipy.optimize.linprog(method=
+    "highs", options=_LP_OPTIONS)`` passes to HiGHS, so the optimum has its
+    bits, and so does its acceptance test: a non-optimal model status, or an
+    optimum with a NaN or a bound or row violated by more than
+    ``_LP_CHECK_TOL``, is ``success=False``.  The dense `A_ub` is the
+    benchmark tracer's measure of the LP's size (``perfbench/tracer.py``
+    reads its shape and bytes); it is passed to HiGHS column-wise, with its
+    zeros dropped.
+    """
+    h = _highs()
+    c = np.asarray(c, dtype=float)
+    b_ub = np.asarray(b_ub, dtype=float)
+    lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds], dtype=float)
+    upper = np.array([np.inf if hi is None else hi for _, hi in bounds], dtype=float)
+    # column-major order of the nonzeros: a scan of the contiguous rows and a
+    # stable sort by column is about 2.5x faster than a scan of A_ub.T
+    rows, cols = np.nonzero(A_ub)
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    n_row, n_col = A_ub.shape
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.full(n_row, -h.kHighsInf)
+    lp.row_upper_ = b_ub
+    start = np.zeros(n_col + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n_col), out=start[1:])
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = A_ub[rows, cols]
+    options = h.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    for key, value in _LP_OPTIONS.items():
+        setattr(options, key, value)
+    highs = h._Highs()
+    error = h.HighsStatus.kError
+    ran = (
+        highs.passOptions(options) != error
+        and highs.passModel(lp) != error
+        and highs.run() != error
+    )
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if not ran or status != h.HighsModelStatus.kOptimal:
+        return LPResult(None, None, nit, False, f"model status {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = info.objective_function_value
+    slack = b_ub - np.array(solution.row_value)
+    # a NaN fails every comparison, so it fails the test as scipy's does
+    feasible = (
+        not np.isnan(fun)
+        and np.all((x >= lower - _LP_CHECK_TOL) & (x <= upper + _LP_CHECK_TOL))
+        and np.all(slack >= -_LP_CHECK_TOL)
+    )
+    if not feasible:
+        return LPResult(x, fun, nit, False, "optimum violates its constraints beyond tolerance")
+    return LPResult(x, fun, nit, True, "optimal")
+
+
+# unused by the solvers; kept as a module attribute because the benchmark's
+# tracer rebinds it, and scipy.optimize is imported only if it is called
+def linear_sum_assignment(cost_matrix):
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost_matrix)
+
+
 # nearest neighbours per atom in the LPs' starting rows
 NEIGHBOURS = 8
 # brute_force_connection enumerates k! matchings, so it refuses k beyond this
@@ -205,7 +321,7 @@ def _lipschitz_lp(f: SignedAtomMeasure, kind: str):
     active = _candidate_pairs(d)
     while True:
         a_ub, b_ub = _pair_constraints(f.points, *np.nonzero(active), budget is not None)
-        res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_LP_OPTIONS)
+        res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds)
         del a_ub, b_ub  # free the matrix before the n x n arrays below
         if not res.success:
             raise TranshipError(f"{kind} Lipschitz LP failed: {res.message}")

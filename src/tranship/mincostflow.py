@@ -126,8 +126,8 @@ def solve_min_cost_flow(n_nodes, arcs, costs, supply) -> FlowSolution:
         raise ValidationError("arcs and costs length mismatch")
     if supply.size != n_nodes:
         raise ValidationError("supply length does not match node count")
-    if np.any(costs < 0.0):
-        raise ValidationError("arc costs must be nonnegative")
+    if not np.all((costs >= 0.0) & (costs < np.inf)):
+        raise ValidationError("arc costs must be finite and nonnegative")
     if np.any((arcs < 0) | (arcs >= n_nodes)):
         raise ValidationError("arc endpoints must be node indices")
 
@@ -228,8 +228,8 @@ def solve_transport(cost, supply) -> FlowSolution:
     p, q = cost.shape
     if supply.size != p + q:
         raise ValidationError("supply length does not match node count")
-    if np.any(cost < 0.0):
-        raise ValidationError("arc costs must be nonnegative")
+    if not np.all((cost >= 0.0) & (cost < np.inf)):
+        raise ValidationError("arc costs must be finite and nonnegative")
     if np.any(supply[:p] < 0.0) or np.any(supply[p:] > 0.0):
         raise ValidationError("sources need supply >= 0 and sinks supply <= 0")
 

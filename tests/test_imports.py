@@ -198,20 +198,31 @@ def test_commands_load_only_their_solver_modules(tmp_path, doc, args, solvers):
     assert modules_after(code)["status"] == [0, solvers]
 
 
+# scipy's HiGHS bindings, loaded from their file; pybind registers the
+# bindings' submodules (``.cb``, ``.simplex_constants``) in sys.modules
+HIGHS = "scipy.optimize._highspy._core"
+
+
+def loads_only_highs(modules) -> bool:
+    """Whether every scipy module loaded belongs to HiGHS's bindings, so no
+    ``scipy.optimize`` package module, no ``scipy.linalg`` and no
+    ``scipy.sparse`` is among them."""
+    return all(loads([m], HIGHS) for m in modules)
+
+
 @pytest.mark.parametrize(
     "args", [["dual"], ["flatnorm", "--convention", "sum"]], ids=["dual", "flatnorm-sum"]
 )
-def test_lp_commands_load_optimize(tmp_path, args):
+def test_lp_commands_load_only_the_highs_bindings(tmp_path, args):
     path = write_doc(tmp_path, DISTINCT_DOC)
     out = str(tmp_path / "report.out")
     result = run_command([args[0], path, *args[1:], "--out", out])
     assert result["status"] == 0
-    assert loads(result["scipy"], "scipy.optimize")
-    assert not loads(result["scipy"], "scipy.sparse.csgraph")
+    assert result["scipy"] and loads_only_highs(result["scipy"])
     assert report_warnings(out) == []
 
 
-def test_selftest_loads_optimize_but_no_csgraph():
+def test_selftest_loads_only_the_highs_bindings():
     # its duality suite runs the dual LP; the complete-graph flow it
     # cross-checks against needs no scipy
     result = modules_after(
@@ -219,8 +230,55 @@ def test_selftest_loads_optimize_but_no_csgraph():
         "with contextlib.redirect_stdout(io.StringIO()):\n    status = run(['selftest'])"
     )
     assert result["status"] == 0
-    assert loads(result["scipy"], "scipy.optimize")
-    assert not loads(result["scipy"], "scipy.sparse.csgraph")
+    assert result["scipy"] and loads_only_highs(result["scipy"])
+
+
+# one LP, solved by the direct HiGHS call and by scipy.optimize.linprog; a
+# fresh interpreter loads the bindings in the order given, and every solve
+# reports the hex bits of its optimum, objective and iterations
+LOAD_ORDER_CODE = """
+import sys
+import numpy as np
+from tranship import matchnorm
+from tranship.matchnorm import _pair_constraints
+
+rng = np.random.default_rng(29)
+n = 12
+points = rng.uniform(size=(n, 2))
+a, b = _pair_constraints(points, *np.nonzero(~np.eye(n, dtype=bool)))
+masses = rng.uniform(0.5, 1.5, size=n)
+masses -= masses.mean()
+lp = dict(c=-masses[1:], A_ub=a[:, 1:], b_ub=b, bounds=[(None, None)] * (n - 1))
+
+
+def bits(res):
+    assert res.success, res.message
+    return [res.x.tobytes().hex(), float(res.fun).hex(), int(res.nit)]
+
+
+def direct():
+    return bits(matchnorm.linprog(**lp))
+
+
+def reference():
+    from scipy.optimize import linprog
+
+    return bits(linprog(**lp, method="highs", options=matchnorm._LP_OPTIONS))
+"""
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        "first = direct()\nassert 'scipy.optimize' not in sys.modules\n"
+        "status = [first, reference(), direct()]",
+        "import scipy.optimize\nstatus = [reference(), direct(), direct()]",
+    ],
+    ids=["direct-first", "optimize-first"],
+)
+def test_direct_highs_keeps_its_bits_in_either_load_order(steps):
+    solves = modules_after(LOAD_ORDER_CODE + steps)["status"]
+    assert solves[0] == solves[1] == solves[2]
 
 
 # the package's exports before they became lazy, by defining module

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tranship.errors import UnbalancedMeasureError, ValidationError
+from tranship.errors import TranshipError, UnbalancedMeasureError, ValidationError
 from tranship.geom import dist, dists
 from tranship import matchnorm
 from tranship.matchnorm import (
@@ -648,3 +648,87 @@ class TestRowGeneration:
         assert len(rows) >= 2 and rows[-1] < 200 * 199 // 2
         cost = minimal_connection(f).cost
         assert abs(value - cost) <= 1e-12 * cost
+
+
+def _recorded_lps(f, monkeypatch):
+    """The keyword arguments of every LP round of `dual_potential` (when `f`
+    is balanced) and of the ``sum`` flat norm."""
+    lps = []
+    solve = matchnorm.linprog
+
+    def recording(**kwargs):
+        lps.append(kwargs)
+        return solve(**kwargs)
+
+    monkeypatch.setattr(matchnorm, "linprog", recording)
+    if f.balanced:
+        dual_potential(f)
+    flat_norm(f, "sum")
+    monkeypatch.undo()
+    return lps
+
+
+def _layouts(rng):
+    """Seeded measures of 2 to 160 atoms: random points, points on a line,
+    lattice points, whose distances tie, and random points 1e-6 apart, where
+    HiGHS's default tolerances would stop at another optimum."""
+    for n in (2, 3, 5, 12, 40, 160):
+        yield _distinct_masses(rng, rng.uniform(size=(n, 2)))
+        line = np.outer(rng.uniform(size=n), [1.0, 2.0])
+        yield _distinct_masses(rng, line)
+        side = int(np.ceil(np.sqrt(n)))
+        lattice = np.argwhere(np.ones((side, side)))[:n].astype(float)
+        yield _distinct_masses(rng, lattice)
+        yield SignedAtomMeasure(lattice, rng.uniform(-1.0, 1.0, size=n))
+        yield _distinct_masses(rng, rng.uniform(size=(n, 2)) * 1e-6)
+
+
+class TestDirectHighs:
+    """``matchnorm.linprog`` calls HiGHS without ``scipy.optimize``; it must
+    give the optimum of ``scipy.optimize.linprog(method="highs")`` bit for
+    bit, so a scipy release that changes linprog's model or options fails
+    here."""
+
+    def test_every_round_has_the_bits_of_scipys_linprog(self, monkeypatch):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(29)
+        rounds = lps = 0
+        for f in _layouts(rng):
+            lps += 1 + f.balanced
+            for lp in _recorded_lps(f, monkeypatch):
+                ours = matchnorm.linprog(**lp)
+                ref = linprog(**lp, method="highs", options=matchnorm._LP_OPTIONS)
+                assert ours.success and ref.success
+                assert ours.x.tobytes() == ref.x.tobytes()
+                assert (ours.fun, ours.nit) == (ref.fun, ref.nit)
+                rounds += 1
+        assert rounds > lps  # some LPs took more than one round
+
+    @pytest.mark.parametrize("lp", [
+        dict(c=[1.0], A_ub=np.array([[1.0], [-1.0]]), b_ub=[-1.0, -1.0], bounds=[(None, None)]),
+        dict(c=[-1.0, 0.0], A_ub=np.array([[-1.0, 1.0]]), b_ub=[0.0], bounds=[(0.0, None)] * 2),
+    ], ids=["infeasible", "unbounded"])
+    def test_failures_are_reported(self, lp):
+        from scipy.optimize import linprog
+
+        res = matchnorm.linprog(**lp)
+        assert not res.success and res.x is None
+        assert not linprog(**lp, method="highs", options=matchnorm._LP_OPTIONS).success
+
+    def test_an_optimum_that_fails_the_acceptance_test_raises(self, monkeypatch):
+        # a negative tolerance fails every tight row, as a NaN or a violated
+        # row would: the LP route raises instead of reporting the optimum
+        monkeypatch.setattr(matchnorm, "_LP_CHECK_TOL", -1.0)
+        f = SignedAtomMeasure.from_atoms([((0.0, 0.0), 1.0), ((3.0, 4.0), -1.0)])
+        with pytest.raises(TranshipError, match="dual Lipschitz LP failed: optimum violates"):
+            dual_potential(f)
+
+    def test_missing_bindings_name_the_required_scipy(self, monkeypatch):
+        monkeypatch.setattr(matchnorm, "_HIGHS_MODULE", "scipy.optimize._highspy._absent")
+        matchnorm._highs.cache_clear()
+        try:
+            with pytest.raises(TranshipError, match=r"scipy>=1\.17"):
+                flat_norm(SignedAtomMeasure.from_atoms([((0.0, 0.0), 1.0)]), "sum")
+        finally:
+            matchnorm._highs.cache_clear()

@@ -104,6 +104,15 @@ class TestFailures:
         with pytest.raises(InfeasibleFlowError):
             solve_min_cost_flow(2, np.array([[1, 0]]), np.ones(1), np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("cost, message", [
+        (-1.0, "nonnegative"), (np.inf, "finite"), (np.nan, "finite"),
+    ], ids=["negative-cost", "inf-cost", "nan-cost"])
+    def test_arc_list_rejects_bad_costs(self, cost, message):
+        # a NaN passes `cost < 0`; it used to surface as a disconnected graph
+        arcs = np.array([[0, 1], [0, 2]])
+        with pytest.raises(ValidationError, match=message):
+            solve_min_cost_flow(3, arcs, np.array([cost, 1.0]), np.array([1.0, -0.5, -0.5]))
+
     def test_augmentation_limit_is_a_verification_failure(self, monkeypatch):
         monkeypatch.setattr(mincostflow, "_MAX_AUGMENTATIONS_FACTOR", 0)
         with pytest.raises(VerificationError, match="augmentation limit"):
@@ -125,8 +134,8 @@ class TestFailures:
         assert "augmentation limit" in capsys.readouterr().err
 
     def test_augmentation_limit_exits_4_on_beckmann(self, tmp_path, monkeypatch, capsys):
-        # `connect` solves with solve_transport, `beckmann` with
-        # solve_min_cost_flow: both read the limit at call time
+        # `connect` solves with solve_transport, `beckmann` of the complete
+        # network with solve_complete: both read the limit at call time
         monkeypatch.setattr(mincostflow, "_MAX_AUGMENTATIONS_FACTOR", 0)
         doc = {
             "version": 1,
@@ -167,8 +176,10 @@ class TestFailures:
         (np.ones(2), np.array([1.0, -1.0]), "matrix"),
         (np.ones((1, 1)), np.array([1.0, -0.5, -0.5]), "node count"),
         (-np.ones((1, 1)), np.array([1.0, -1.0]), "nonnegative"),
+        (np.array([[np.inf, 1.0]]), np.array([1.0, -0.5, -0.5]), "finite"),
+        (np.array([[np.nan, 1.0]]), np.array([1.0, -0.5, -0.5]), "finite"),
         (np.ones((1, 1)), np.array([-1.0, 1.0]), "sources need supply"),
-    ], ids=["vector", "supply-length", "negative-cost", "signs"])
+    ], ids=["vector", "supply-length", "negative-cost", "inf-cost", "nan-cost", "signs"])
     def test_transport_rejects_bad_input(self, cost, supply, message):
         with pytest.raises(ValidationError, match=message):
             solve_transport(cost, supply)
