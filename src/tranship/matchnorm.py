@@ -70,10 +70,9 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
     "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
 }
-# the HiGHS bindings that scipy ships, and the oldest scipy known to ship them
-# at that path with the interface used here
+# the HiGHS bindings that scipy ships; 1.17 is the oldest scipy known to ship
+# them at this path with the interface used here
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
-_SCIPY_REQUIREMENT = "scipy>=1.17"
 # scipy.optimize.linprog's acceptance test: a bound or row violated by more
 # than this voids an optimal status
 _LP_CHECK_TOL = np.sqrt(1e-9) * 10
@@ -92,8 +91,7 @@ def _highs():
         spec = finder.find_spec(_HIGHS_MODULE)
     if spec is None:
         raise TranshipError(
-            f"the LP solver needs {_SCIPY_REQUIREMENT}, whose HiGHS bindings {_HIGHS_MODULE}"
-            " were not found"
+            f"the LP solver needs scipy>=1.17, whose HiGHS bindings {_HIGHS_MODULE} were not found"
         )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
