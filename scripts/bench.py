@@ -18,7 +18,9 @@ median.  Cases:
   (numpy and scipy, where loaded, included); the case gives the medians.
   ``dual_potential`` and the ``sum`` flat norm are the row-generated LP;
   the ``max`` flat norm is the ground transport, which keeps these cases so
-  that it compares with the LP it replaced;
+  that it compares with the LP it replaced.  The two LPs also run at 2,000
+  atoms, where their child peak is the LP's memory; the ground transport
+  does not, as it takes about 14 s there;
 * ``load_document`` of a seeded 2,000-segment polyline document (100
   random walks of 20 segments from ``perfbench/workloads.py``, plus its 10
   vector atoms) and of the seeded 2,000-atom document: JSON parsing,
@@ -83,6 +85,9 @@ from tranship.geom import Domain, Grid  # noqa: E402
 from tranship.measures import CellField, SignedAtomMeasure, StructuredVectorMeasure  # noqa: E402
 
 LP_SIZES = (100, 160, 400, 800)
+# the row-generated LPs alone also run at this size
+LARGE_LP_SIZE = 2000
+LARGE_LP_SOLVERS = ("dual_potential", "flat_norm:sum")
 FLOW_SIZES = (100, 200, 400, 800, 1200)
 UNIT_FLOW_SIZE = 800
 # (shape, diagonals) of the solve_beckmann grid cases
@@ -202,6 +207,7 @@ def cli_case(command: str, n: int, seed: int) -> dict:
 def child_cases(seed: int, repeats: int):
     """The LP and CLI cases, `repeats` fresh children each."""
     cases = [f"{solver}@{n}" for solver in LP_SOLVERS for n in LP_SIZES]
+    cases += [f"{solver}@{LARGE_LP_SIZE}" for solver in LARGE_LP_SOLVERS]
     cases += [f"cli:{command}@{n}" for command, n in CLI_CASES]
     for case in cases:
         yield medians([in_child(case, seed) for _ in range(repeats)])

@@ -68,7 +68,7 @@ class FlowNetwork:
 
     points: np.ndarray  # (n, dim) node positions
     edges: np.ndarray  # (m, 2) node index pairs
-    lengths: np.ndarray  # (m,) positive edge lengths
+    lengths: np.ndarray  # (m,) positive, finite edge lengths
     supply: np.ndarray  # (n,) signed reals, summing to ~0
     # (grid, diagonals) of a grid_network, whose nodes are the grid's cells
     grid: tuple | None = None
@@ -82,8 +82,8 @@ class FlowNetwork:
             raise ValidationError("edges and lengths length mismatch")
         if supply.size != pts.shape[0]:
             raise ValidationError("supply length does not match node count")
-        if np.any(lengths <= 0.0):
-            raise ValidationError("edge lengths must be positive")
+        if not np.all(np.isfinite(lengths) & (lengths > 0.0)):
+            raise ValidationError("edge lengths must be positive and finite")
         if edges.size and (edges.min() < 0 or edges.max() >= pts.shape[0]):
             raise ValidationError("edge endpoints out of range")
         scale = float(np.sum(np.abs(supply)))

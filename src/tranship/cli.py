@@ -23,7 +23,6 @@ OpenBLAS to one thread before numpy loads.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -47,6 +46,10 @@ _FORMATS = {"density": ("csv", "svg", "ascii"), "modulus": ("csv", "json")}
 
 
 def _digest(path: str) -> str:
+    # imported here: hashlib maps OpenSSL's libcrypto, which --help and
+    # argument errors do not need
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

@@ -18,23 +18,27 @@ Lipschitz budget L for ``sum``, with one row u_i - u_j <= L |x_i - x_j| per
 ordered atom pair, n(n-1) in all.  The kinds differ only in their row of the
 bounds table ``_LP_BOUNDS``: ``dual`` pins u_0 = 0 and fixes L = 1, and
 ``sum`` bounds L to [0, 1] with the rows |u_i| + L <= 1.  The LP is solved
-by row generation: it starts from every atom's ``NEIGHBOURS`` nearest atoms
-plus a star through atom 0, one all-pairs distance matrix checks the optimum
-against every pair, the violated pairs are added and the LP is solved
-again.  The optimum that violates no pair is the all-pairs optimum, with a
-few rows per atom instead of n.  The ``max`` flat norm is no LP here: it is
-a transport through one extra ground node (:func:`_ground_transport`),
-solved with :func:`~tranship.mincostflow.solve_transport`.
+by row generation, a cutting-plane loop (Kelley, *J. SIAM* 1960) on one
+HiGHS model (:class:`_Model`): it starts from every atom's ``NEIGHBOURS``
+nearest atoms plus a star through atom 0, one all-pairs distance matrix
+checks the optimum against every pair, the violated pairs go into the model
+as sparse rows, and the dual simplex re-solves from its last basis.  The
+optimum that violates no pair is the all-pairs optimum, with a few rows per
+atom instead of n, and no dense matrix is ever built.  The ``max`` flat norm
+is no LP here: it is a transport through one extra ground node
+(:func:`_ground_transport`), solved with
+:func:`~tranship.mincostflow.solve_transport`.
 
-The LP solver is HiGHS's dual simplex, called by :func:`linprog` through
-the bindings scipy ships (``scipy.optimize._highspy._core``).  They are
-loaded from their file on the first LP, without running ``scipy.optimize``'s
-package init, and pass HiGHS the model and options that
-``scipy.optimize.linprog(method="highs")`` does, so the optimum has its
-bits.  Importing this module loads no scipy, and neither do
-:func:`minimal_connection` and the ``max`` flat norm.  The third
-route, graph flow on the complete network (:mod:`tranship.beckmann`),
-solves with :func:`~tranship.mincostflow.solve_complete`, with numpy alone.
+The LP solver is HiGHS's dual simplex, called through the bindings scipy
+ships (``scipy.optimize._highspy._core``).  They are loaded from their file
+on the first LP, without running ``scipy.optimize``'s package init.  The
+model gets the options and acceptance test of
+``scipy.optimize.linprog(method="highs")``, and :func:`linprog`, one solve
+of the same model, has that function's bits.  Importing this module loads
+no scipy, and neither do :func:`minimal_connection` and the ``max`` flat
+norm.  The third route, graph flow on the complete network
+(:mod:`tranship.beckmann`), solves with
+:func:`~tranship.mincostflow.solve_complete`, with numpy alone.
 """
 
 from __future__ import annotations
@@ -100,9 +104,9 @@ def _highs():
 
 @dataclass(frozen=True)
 class LPResult:
-    """What :func:`linprog` returns: the optimum `x` and its objective `fun`
-    (both None on failure), the simplex iterations `nit`, and `success` with
-    a `message`."""
+    """What :meth:`_Model.solve` and :func:`linprog` return: the optimum `x`
+    and its objective `fun` (both None on failure), the simplex iterations
+    `nit` of this solve, and `success` with a `message`."""
 
     x: np.ndarray | None
     fun: float | None
@@ -111,77 +115,89 @@ class LPResult:
     message: str
 
 
+class _Model:
+    """One HiGHS model: minimize ``c @ x`` over the columns with bounds
+    `lower` and `upper`, subject to the rows added by :meth:`add_rows`.
+
+    The options and columns are passed once, with the options that
+    ``scipy.optimize.linprog(method="highs", options=_LP_OPTIONS)`` passes:
+    dual simplex, presolve on.  Rows can be added between solves; HiGHS
+    keeps the last basis, so the next :meth:`solve` starts from it instead
+    of solving again from scratch.
+    """
+
+    def __init__(self, c, lower, upper):
+        h = _highs()
+        options = h.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = options.output_flag = False
+        options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        for key, value in _LP_OPTIONS.items():
+            setattr(options, key, value)
+        self.highs = h._Highs()
+        self.lower, self.upper = lower, upper
+        self.row_upper = np.zeros(0)
+        error = self._error = h.HighsStatus.kError
+        no_entries = np.zeros(0, dtype=np.int32)
+        self._ok = self.highs.passOptions(options) != error and self.highs.addCols(
+            c.size, c, lower, upper, 0, no_entries, no_entries, np.zeros(0)
+        ) != error
+
+    def add_rows(self, start, index, value, upper):
+        """Rows ``sum_k value[k] x[index[k]] <= upper[r]``, k over
+        ``start[r]`` to the next row's start, row-wise as HiGHS takes them."""
+        n_row = upper.size
+        self._ok = self._ok and self.highs.addRows(
+            n_row, np.full(n_row, -np.inf), upper, value.size, start, index, value
+        ) != self._error
+        self.row_upper = np.concatenate([self.row_upper, upper])
+
+    def solve(self) -> LPResult:
+        """Run HiGHS and apply ``scipy.optimize.linprog``'s acceptance test:
+        a non-optimal model status, or an optimum with a NaN or a bound or
+        row violated by more than ``_LP_CHECK_TOL``, is ``success=False``."""
+        h, highs = _highs(), self.highs
+        ran = self._ok and highs.run() != self._error
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        nit = info.simplex_iteration_count or info.ipm_iteration_count
+        if not ran or status != h.HighsModelStatus.kOptimal:
+            message = f"model status {highs.modelStatusToString(status)}"
+            return LPResult(None, None, nit, False, message)
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        fun = info.objective_function_value
+        slack = self.row_upper - np.array(solution.row_value)
+        # a NaN fails every comparison, so it fails the test as scipy's does
+        feasible = (
+            not np.isnan(fun)
+            and np.all((x >= self.lower - _LP_CHECK_TOL) & (x <= self.upper + _LP_CHECK_TOL))
+            and np.all(slack >= -_LP_CHECK_TOL)
+        )
+        if not feasible:
+            return LPResult(x, fun, nit, False, "optimum violates its constraints beyond tolerance")
+        return LPResult(x, fun, nit, True, "optimal")
+
+
 def linprog(*, c, A_ub, b_ub, bounds) -> LPResult:
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub`` and the column
-    `bounds` (``(lower, upper)`` pairs, None for no bound), with HiGHS's dual
-    simplex.
+    `bounds` (``(lower, upper)`` pairs, None for no bound), in one solve of
+    a :class:`_Model`.
 
-    The model and options are the ones ``scipy.optimize.linprog(method=
-    "highs", options=_LP_OPTIONS)`` passes to HiGHS, so the optimum has its
-    bits, and so does its acceptance test: a non-optimal model status, or an
-    optimum with a NaN or a bound or row violated by more than
-    ``_LP_CHECK_TOL``, is ``success=False``.  The dense `A_ub` is the
-    benchmark tracer's measure of the LP's size (``perfbench/tracer.py``
-    reads its shape and bytes); it is passed to HiGHS column-wise, with its
-    zeros dropped.
+    The model, options and acceptance test are the ones
+    ``scipy.optimize.linprog(method="highs", options=_LP_OPTIONS)`` uses, so
+    the optimum has its bits; the tests hold the two to that.  The dense
+    `A_ub` goes in row-wise, with its zeros dropped.  The LP routes do not
+    call it: :func:`_lipschitz_lp` adds its rows to one model round by round.
     """
-    h = _highs()
-    c = np.asarray(c, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
     lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds], dtype=float)
     upper = np.array([np.inf if hi is None else hi for _, hi in bounds], dtype=float)
-    # column-major order of the nonzeros: a scan of the contiguous rows and a
-    # stable sort by column is about 2.5x faster than a scan of A_ub.T
+    model = _Model(np.asarray(c, dtype=float), lower, upper)
     rows, cols = np.nonzero(A_ub)
-    order = np.argsort(cols, kind="stable")
-    rows, cols = rows[order], cols[order]
-    n_row, n_col = A_ub.shape
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.col_cost_ = c
-    lp.col_lower_ = lower
-    lp.col_upper_ = upper
-    lp.row_lower_ = np.full(n_row, -h.kHighsInf)
-    lp.row_upper_ = b_ub
-    start = np.zeros(n_col + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n_col), out=start[1:])
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = rows.astype(np.int32)
-    lp.a_matrix_.value_ = A_ub[rows, cols]
-    options = h.HighsOptions()
-    options.presolve = "on"
-    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = options.output_flag = False
-    options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    for key, value in _LP_OPTIONS.items():
-        setattr(options, key, value)
-    highs = h._Highs()
-    error = h.HighsStatus.kError
-    ran = (
-        highs.passOptions(options) != error
-        and highs.passModel(lp) != error
-        and highs.run() != error
-    )
-    status = highs.getModelStatus()
-    info = highs.getInfo()
-    nit = info.simplex_iteration_count or info.ipm_iteration_count
-    if not ran or status != h.HighsModelStatus.kOptimal:
-        return LPResult(None, None, nit, False, f"model status {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    fun = info.objective_function_value
-    slack = b_ub - np.array(solution.row_value)
-    # a NaN fails every comparison, so it fails the test as scipy's does
-    feasible = (
-        not np.isnan(fun)
-        and np.all((x >= lower - _LP_CHECK_TOL) & (x <= upper + _LP_CHECK_TOL))
-        and np.all(slack >= -_LP_CHECK_TOL)
-    )
-    if not feasible:
-        return LPResult(x, fun, nit, False, "optimum violates its constraints beyond tolerance")
-    return LPResult(x, fun, nit, True, "optimal")
+    start = np.searchsorted(rows, np.arange(A_ub.shape[0])).astype(np.int32)
+    model.add_rows(start, cols.astype(np.int32), A_ub[rows, cols], np.asarray(b_ub, dtype=float))
+    return model.solve()
 
 
 # unused by the solvers; kept as a module attribute because the benchmark's
@@ -251,25 +267,23 @@ def _read_only(values):
 
 
 def _pair_constraints(points, i, j, budget=False):
-    """Rows of u_i - u_j <= |x_i - x_j| for the ordered pairs (i[k], j[k]),
-    in the order given.
+    """Rows u_i - u_j <= |x_i - x_j| for the ordered pairs (i[k], j[k]), in
+    the order given, as the row-wise ``(start, index, value, upper)`` that
+    :meth:`_Model.add_rows` takes: two nonzeros per row.
 
-    With a `budget` the columns are (u, L) and this is the whole
-    ``sum`` matrix: the pair rows u_i - u_j - L |x_i - x_j| <= 0, then the
-    rows u_k + L <= 1 and -u_k + L <= 1 for each atom k in turn."""
-    n, rows = len(points), np.arange(i.size)
+    With a `budget` the columns are (u, L) and the rows are
+    u_i - u_j - L |x_i - x_j| <= 0, with -|x_i - x_j| in column L."""
+    n, k, width = len(points), i.size, 2 + budget
     d = dists(points[i], points[j])
-    a_ub = np.zeros((i.size + 2 * n * budget, n + budget))
-    a_ub[rows, i] = 1.0
-    a_ub[rows, j] = -1.0
-    if not budget:
-        return a_ub, d
-    a_ub[rows, n] = -d
-    atoms = np.arange(n)
-    a_ub[i.size + 2 * atoms, atoms] = 1.0
-    a_ub[i.size + 2 * atoms + 1, atoms] = -1.0
-    a_ub[i.size:, n] = 1.0
-    return a_ub, np.repeat([0.0, 1.0], [i.size, 2 * n])
+    index = np.empty((k, width), dtype=np.int32)
+    index[:, 0], index[:, 1] = i, j
+    value = np.empty((k, width))
+    value[:, 0], value[:, 1] = 1.0, -1.0
+    if budget:
+        index[:, 2], value[:, 2] = n, -d
+        d = np.zeros(k)
+    start = np.arange(0, width * k, width, dtype=np.int32)
+    return start, index.ravel(), value.ravel(), d
 
 
 def _candidate_pairs(d):
@@ -293,9 +307,10 @@ def _candidate_pairs(d):
 # the Lipschitz LPs: bounds of u_0, of the other u_i and of the budget L,
 # which is the constant 1 where it is None.  `dual` pins u_0 = 0, since its
 # balanced objective is invariant under constant shifts.
+_FREE = (-np.inf, np.inf)
 _LP_BOUNDS = {
-    "dual": ((0.0, 0.0), (None, None), None),
-    "sum": ((None, None), (None, None), (0.0, 1.0)),
+    "dual": ((0.0, 0.0), _FREE, None),
+    "sum": (_FREE, _FREE, (0.0, 1.0)),
 }
 
 
@@ -303,32 +318,40 @@ def _lipschitz_lp(f: SignedAtomMeasure, kind: str):
     """Maximize sum_i m_i u_i subject to u_i - u_j <= L |x_i - x_j| on every
     ordered atom pair, with the bounds of ``_LP_BOUNDS[kind]``.
 
-    Solved by row generation: the rows start from :func:`_candidate_pairs`;
-    after each solve every pair (i, j) is checked at once, and the pairs with
-    ``u_i - u_j - L d_ij > LP_FEASIBILITY_TOL`` join the rows for the next
-    solve.  The loop ends because every round adds a pair.  The last optimum
-    is feasible for the LP over all pairs and optimal for a relaxation of
-    it, so it is optimal for the full LP.  Returns ``(value, u, d)`` with `d`
-    the all-pairs distance matrix.
+    Solved by row generation on one :class:`_Model`: the rows start from
+    :func:`_candidate_pairs`; after each solve every pair (i, j) is checked
+    at once, and the rows of the pairs with
+    ``u_i - u_j - L d_ij > LP_FEASIBILITY_TOL`` join the model, which
+    re-solves from its last basis.  The loop ends because every round adds
+    a pair.  The last optimum is feasible for the LP over all pairs and
+    optimal for a relaxation of it, so it is optimal for the full LP.
+    Returns ``(value, u, d)`` with `d` the all-pairs distance matrix.
     """
     n = len(f)
     first, rest, budget = _LP_BOUNDS[kind]
     c = -f.masses if budget is None else np.concatenate([-f.masses, [0.0]])
     bounds = [first] + [rest] * (n - 1) + ([] if budget is None else [budget])
+    model = _Model(c, *np.array(bounds, dtype=float).T)
+    if budget is not None:
+        # u_k + L <= 1 and -u_k + L <= 1 for each atom k in turn
+        atoms = np.repeat(np.arange(n, dtype=np.int32), 2)
+        index = np.stack([atoms, np.full(2 * n, n, dtype=np.int32)], axis=1).ravel()
+        value = np.stack([np.tile([1.0, -1.0], n), np.ones(2 * n)], axis=1).ravel()
+        model.add_rows(np.arange(0, 4 * n, 2, dtype=np.int32), index, value, np.ones(2 * n))
     d = dists(f.points[:, None], f.points[None])
     active = _candidate_pairs(d)
+    new = active  # the pairs whose rows go in next
     while True:
-        a_ub, b_ub = _pair_constraints(f.points, *np.nonzero(active), budget is not None)
-        res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=bounds)
-        del a_ub, b_ub  # free the matrix before the n x n arrays below
+        model.add_rows(*_pair_constraints(f.points, *np.nonzero(new), budget is not None))
+        res = model.solve()
         if not res.success:
             raise TranshipError(f"{kind} Lipschitz LP failed: {res.message}")
         u, lip = res.x[:n], 1.0 if budget is None else res.x[n]
-        violated = u[:, None] - u[None] - lip * d > LP_FEASIBILITY_TOL
-        violated &= ~active
-        if not violated.any():
+        new = u[:, None] - u[None] - lip * d > LP_FEASIBILITY_TOL
+        new &= ~active
+        if not new.any():
             return float(-res.fun), u, d
-        active |= violated
+        active |= new
 
 
 def dual_potential(f: SignedAtomMeasure):

@@ -108,6 +108,13 @@ class TestSolve:
         with pytest.raises(ValidationError):
             FlowNetwork(points, np.array([[0, 1]]), np.array([1.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_length_rejected(self, length):
+        # rejected when the network is built, not later by the solver
+        with pytest.raises(ValidationError, match="edge lengths must be positive and finite"):
+            FlowNetwork([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1], [1, 2]],
+                        [length, 1.0], [1.0, 0.0, -1.0])
+
 
 class TestCertificates:
     def test_node_balance(self, rng):

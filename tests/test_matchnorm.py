@@ -287,24 +287,23 @@ class TestBruteForce:
 class TestDualPotential:
     def test_pair_constraint_rows_in_pair_order(self, rng):
         points = rng.uniform(size=(5, 2))
-        a_ub, b_ub = _pair_constraints(points, *np.nonzero(~np.eye(5, dtype=bool)))
+        i, j = np.nonzero(~np.eye(5, dtype=bool))
+        start, index, value, upper = _pair_constraints(points, i, j)
         pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
         expected = np.zeros((len(pairs), 5))
-        for row, (i, j) in enumerate(pairs):
-            expected[row, i] = 1.0
-            expected[row, j] = -1.0
-        assert np.array_equal(a_ub, expected)
-        assert b_ub.tolist() == [dist(points[i], points[j]) for i, j in pairs]
-        assert _pair_constraints(points[:1], *np.nonzero(~np.eye(1, dtype=bool)))[0].shape == (0, 1)
+        for row, (a, b) in enumerate(pairs):
+            expected[row, a] = 1.0
+            expected[row, b] = -1.0
+        assert np.array_equal(_dense_rows(start, index, value, 5), expected)
+        assert upper.tolist() == [dist(points[a], points[b]) for a, b in pairs]
+        assert all(part.size == 0 for part in _pair_constraints(points[:1], i[:0], j[:0]))
         # with the budget L as column 5: the pair rows in the same order with
-        # -d_ij in the L column, then u_k + L <= 1 and -u_k + L <= 1 per atom
-        a_sum, b_sum = _pair_constraints(points, *np.nonzero(~np.eye(5, dtype=bool)), True)
-        box = np.zeros((10, 6))
-        box[0::2, :5] = np.eye(5)
-        box[1::2, :5] = -np.eye(5)
-        box[:, 5] = 1.0
-        assert np.array_equal(a_sum, np.block([[expected, -b_ub[:, None]], [box]]))
-        assert b_sum.tolist() == [0.0] * len(pairs) + [1.0] * 10
+        # -d_ij in the L column and 0 on the right
+        start, index, value, budget_upper = _pair_constraints(points, i, j, True)
+        assert np.array_equal(
+            _dense_rows(start, index, value, 6), np.hstack([expected, -upper[:, None]])
+        )
+        assert budget_upper.tolist() == [0.0] * len(pairs)
 
     def test_unit_dipole_values(self, unit_dipole):
         pot, value = dual_potential(unit_dipole)
@@ -519,25 +518,58 @@ class TestFlatNorm:
             flat_norm(unit_dipole, "median")
 
 
-def _record_rows(monkeypatch):
-    """Rows of every LP solved from now on, one entry per round."""
-    rows = []
-    solve = matchnorm.linprog
+def _dense_rows(start, index, value, n_col):
+    """Row-wise nonzeros, as ``_pair_constraints`` writes them, as a dense
+    matrix."""
+    from scipy.sparse import csr_matrix
 
-    def counting(*args, **kwargs):
-        rows.append(kwargs["A_ub"].shape[0])
-        return solve(*args, **kwargs)
+    indptr = np.append(start, index.size)
+    return csr_matrix((value, index, indptr), shape=(start.size, n_col)).toarray()
 
-    monkeypatch.setattr(matchnorm, "linprog", counting)
-    return rows
+
+def _record_rounds(monkeypatch):
+    """``(rows, simplex iterations)`` of every LP solved from now on, one
+    entry per round, recorded at the HiGHS model."""
+    rounds = []
+    solve = matchnorm._Model.solve
+
+    def counting(model):
+        res = solve(model)
+        rounds.append((model.highs.getNumRow(), res.nit))
+        return res
+
+    monkeypatch.setattr(matchnorm._Model, "solve", counting)
+    return rounds
+
+
+def _assert_rounds_grow_warm(rounds, n):
+    """Every round has more rows than the one before, but fewer than all
+    pairs, and every round after the first re-solves from the last basis in
+    fewer simplex iterations than the first took; a model rebuilt every
+    round fails that."""
+    rows = [r for r, _ in rounds]
+    assert len(rows) >= 2 and all(a < b for a, b in zip(rows, rows[1:])), rows
+    assert rows[-1] < n * (n - 1) // 2, rows
+    assert all(nit < rounds[0][1] for _, nit in rounds[1:]), rounds
+
+
+def _all_pairs_rows(points):
+    """The dense rows u_i - u_j <= |x_i - x_j| of every ordered pair, in
+    row-major order, and their right-hand sides."""
+    n = len(points)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    a = np.zeros((i.size, n))
+    a[np.arange(i.size), i] = 1.0
+    a[np.arange(i.size), j] = -1.0
+    return a, dists(points[i], points[j])
 
 
 def _all_pairs_value(f, kind):
-    """The LP over every ordered pair, built here from `_pair_constraints`."""
+    """The LP over every ordered pair, built here as one dense matrix."""
     from scipy.optimize import linprog
 
     n = len(f)
-    a, b = _pair_constraints(f.points, *np.nonzero(~np.eye(n, dtype=bool)))
+    a, b = _all_pairs_rows(f.points)
     if kind == "dual":
         lp = dict(c=-f.masses[1:], A_ub=a[:, 1:], b_ub=b, bounds=[(None, None)] * (n - 1))
     elif kind == "max":
@@ -593,12 +625,10 @@ class TestRowGeneration:
         f = _distinct_masses(rng, rng.uniform(size=(200, 2)))
         n = len(f)
         for kind in ("dual", "max", "sum"):
-            rows = _record_rows(monkeypatch)
+            rounds = _record_rounds(monkeypatch)
             value = _row_generated_value(f, kind)
             if kind != "max":
-                assert len(rows) >= 2, kind
-                assert all(a < b for a, b in zip(rows, rows[1:])), (kind, rows)
-                assert rows[-1] < n * (n - 1) // 2, (kind, rows)
+                _assert_rounds_grow_warm(rounds, n)
             monkeypatch.undo()
             expected = _all_pairs_value(f, kind)
             assert abs(value - expected) <= 1e-12 * abs(expected), kind
@@ -632,9 +662,10 @@ class TestRowGeneration:
 
     def test_two_atoms(self, monkeypatch):
         f = SignedAtomMeasure.from_atoms([((0.0, 0.0), 1.0), ((3.0, 4.0), -1.0)])
-        rows = _record_rows(monkeypatch)
+        rounds = _record_rounds(monkeypatch)
         values = _row_generated_values(f)
-        assert rows == [2, 6]  # one round per LP: both pairs (and the sum form's box rows)
+        # one round per LP: both pairs (and the sum form's box rows)
+        assert [rows for rows, _ in rounds] == [2, 6]
         assert values["dual"] == 5.0
         assert abs(values["max"] - 2.0) <= 1e-12
         assert abs(values["sum"] - 2.0 * 5.0 / 7.0) <= 1e-12
@@ -643,29 +674,47 @@ class TestRowGeneration:
         rng = np.random.default_rng(17)
         points = rng.uniform(size=(200, 3))
         f = SignedAtomMeasure(points, np.concatenate([np.ones(100), -np.ones(100)]))
-        rows = _record_rows(monkeypatch)
+        rounds = _record_rounds(monkeypatch)
         _, value = dual_potential(f)
-        assert len(rows) >= 2 and rows[-1] < 200 * 199 // 2
+        _assert_rounds_grow_warm(rounds, 200)
         cost = minimal_connection(f).cost
         assert abs(value - cost) <= 1e-12 * cost
 
 
 def _recorded_lps(f, monkeypatch):
-    """The keyword arguments of every LP round of `dual_potential` (when `f`
-    is balanced) and of the ``sum`` flat norm."""
+    """Every LP round of `dual_potential` (when `f` is balanced) and of the
+    ``sum`` flat norm: one list per LP of ``(keywords, result)``, the
+    round's rows as :func:`matchnorm.linprog` keywords and the warm model's
+    result."""
     lps = []
-    solve = matchnorm.linprog
+    solve = matchnorm._Model.solve
 
-    def recording(**kwargs):
-        lps.append(kwargs)
-        return solve(**kwargs)
+    def recording(model):
+        res = solve(model)
+        lps[-1].append((_linprog_keywords(model.highs.getLp()), res))
+        return res
 
-    monkeypatch.setattr(matchnorm, "linprog", recording)
+    monkeypatch.setattr(matchnorm._Model, "solve", recording)
     if f.balanced:
+        lps.append([])
         dual_potential(f)
+    lps.append([])
     flat_norm(f, "sum")
     monkeypatch.undo()
     return lps
+
+
+def _linprog_keywords(lp):
+    """A HiGHS model's LP, with its matrix in either format, as ``linprog``
+    keywords with a dense `A_ub`."""
+    from scipy.sparse import csc_matrix, csr_matrix
+
+    a = lp.a_matrix_
+    rowwise = a.format_ == matchnorm._highs().MatrixFormat.kRowwise
+    parts = (np.array(a.value_), np.array(a.index_), np.array(a.start_))
+    dense = (csr_matrix if rowwise else csc_matrix)(parts, shape=(lp.num_row_, lp.num_col_))
+    return dict(c=np.array(lp.col_cost_), A_ub=dense.toarray(), b_ub=np.array(lp.row_upper_),
+                bounds=list(zip(lp.col_lower_, lp.col_upper_)))
 
 
 def _layouts(rng):
@@ -690,19 +739,32 @@ class TestDirectHighs:
     here."""
 
     def test_every_round_has_the_bits_of_scipys_linprog(self, monkeypatch):
+        # each round's rows, solved at once by matchnorm.linprog and by
+        # scipy, give the same bits; the warm model's last optimum is
+        # scipy's on the last round's rows within 1e-12 relative.  HiGHS's
+        # tolerances are absolute, so on the layouts 1e-6 apart any two
+        # optima within them may differ by far more (the warm and the cold
+        # one by up to 5.4e-7 relative); there the bound is the feasibility
+        # tolerance times the mass the rows' duals carry.
         from scipy.optimize import linprog
 
         rng = np.random.default_rng(29)
         rounds = lps = 0
         for f in _layouts(rng):
-            lps += 1 + f.balanced
-            for lp in _recorded_lps(f, monkeypatch):
-                ours = matchnorm.linprog(**lp)
-                ref = linprog(**lp, method="highs", options=matchnorm._LP_OPTIONS)
-                assert ours.success and ref.success
-                assert ours.x.tobytes() == ref.x.tobytes()
-                assert (ours.fun, ours.nit) == (ref.fun, ref.nit)
-                rounds += 1
+            for lp_rounds in _recorded_lps(f, monkeypatch):
+                lps += 1
+                for lp, warm in lp_rounds:
+                    ours = matchnorm.linprog(**lp)
+                    ref = linprog(**lp, method="highs", options=matchnorm._LP_OPTIONS)
+                    assert warm.success and ours.success and ref.success
+                    assert ours.x.tobytes() == ref.x.tobytes()
+                    assert (ours.fun, ours.nit) == (ref.fun, ref.nit)
+                    rounds += 1
+                if np.ptp(f.points) < 1e-3:
+                    tol = LP_FEASIBILITY_TOL * np.sum(np.abs(f.masses))
+                else:
+                    tol = 1e-12 * abs(ref.fun)
+                assert abs(warm.fun - ref.fun) <= tol, (warm.fun, ref.fun)
         assert rounds > lps  # some LPs took more than one round
 
     @pytest.mark.parametrize("lp", [
